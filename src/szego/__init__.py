@@ -9,9 +9,9 @@ hierarchy, integrated both directly and through the spectral data.
 
 from .algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
                       grid_transform, interpolate, next_pow2,
-                      polymatrix_det_minors, rational_fit, szego_project)
+                      polymatrix_det_minors)
 from .bateman import (IdentityReport, InterlacedValues, identity_residuals,
-                      j_of_x, kappa_squares, kernel_criterion, tau_squares)
+                      j_of_x, kappa_squares, tau_squares)
 from .blaschke import BlaschkeProduct, blaschke_mul, from_zeros, is_schur_poly
 from .errors import (AmbiguousClusterWarning, ConsistencyError,
                      DegreeMismatchError, FitError, HypothesisViolationError,
@@ -30,8 +30,8 @@ from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
 from .szego_flow import (ConservedRecord, FlowComparison, Trajectory,
                          TravelingWaveReport, compare_flows,
                          conserved_quantities, direct_evolve, exact_evolve,
-                         hierarchy_exact_evolve, hierarchy_field,
-                         recurrence_gap, szego_rhs, traveling_wave)
+                         hierarchy_exact_evolve, hierarchy_field, szego_rhs,
+                         traveling_wave)
 from .aak import (AAKCertificate, AAKResult, SchmidtVector, best_approx,
                   perturbation_sanity, ratio_certificate, schmidt_vector)
 from .verify import VerifyCase, run as run_verify
@@ -55,10 +55,9 @@ __all__ = [
     "fourvalue_formula", "from_zeros", "grid_transform", "hankel_matvec",
     "hermitian_eigs", "hierarchy_exact_evolve", "hierarchy_field",
     "identity_residuals", "interpolate", "is_schur_poly", "j_of_x",
-    "kappa_squares", "kernel_criterion", "next_pow2", "perturbation_sanity",
-    "polymatrix_det_minors", "ratio_certificate", "rational_fit",
-    "real_diagnostics", "recurrence_gap", "resize_symbol", "roundtrip",
-    "run_verify", "schmidt_vector", "shift_symbol", "spectral_roundtrip",
-    "synthesize", "szego_project", "szego_rhs", "tau_squares",
-    "traveling_wave",
+    "kappa_squares", "next_pow2", "perturbation_sanity",
+    "polymatrix_det_minors", "ratio_certificate", "real_diagnostics",
+    "resize_symbol", "roundtrip", "run_verify", "schmidt_vector",
+    "shift_symbol", "spectral_roundtrip", "synthesize", "szego_rhs",
+    "tau_squares", "traveling_wave",
 ]

@@ -21,7 +21,7 @@ from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import MultiplicityCluster
 from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, apply_H, build_pair,
-                     hermitian_eigs, resize_symbol)
+                     exact_section, hermitian_eigs, resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
 GAP_FLOOR_REL = 1e-8
@@ -29,6 +29,7 @@ SCHMIDT_RESIDUAL_REL = 1e-9
 TAIL_REL = 1e-8
 TIGHT_TAIL_REL = 1e-14
 GRID_FACTOR = 8
+RATIO_SAMPLES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +117,17 @@ def _certify(u: Symbol, v: np.ndarray, s: float,
     m = n_work
     u2 = resize_symbol(u, 2 * m - 1).coeffs
     v2 = np.concatenate([v, np.zeros(u2.size - v.size, dtype=complex)])
-    section = lambda c: scipy.linalg.hankel(c[:m], c[m - 1:])
-    sv_diff = scipy.linalg.svdvals(section(v2))
+    sv_diff = scipy.linalg.svdvals(exact_section(v2, m))
     op = float(sv_diff[0]) if sv_diff.size else 0.0
-    sv_r = scipy.linalg.svdvals(section(u2 - v2))
-    scale = float(scipy.linalg.svdvals(section(u2))[0])
+    sv_r = scipy.linalg.svdvals(exact_section(u2 - v2, m))
+    scale = float(scipy.linalg.svdvals(exact_section(u2, m))[0])
     threshold = RANK_FLOOR_REL * max(scale, 1e-300)
     rank = int(np.sum(sv_r > threshold))
     return AAKCertificate(s, op, rank, threshold, uni, tail, n_work)
 
 
-def _tight_truncation(u: Symbol, rel: float = TIGHT_TAIL_REL) -> int:
-    """Truncation length whose dropped coefficient tail is below rel in l2.
+def _tight_truncation(u: Symbol) -> int:
+    """Truncation length whose dropped coefficient tail is below 1e-14 in l2.
 
     Eigenvalue and Schmidt-vector accuracy is limited by the mass the
     finite section never sees, so the working length is grown until the
@@ -141,7 +141,7 @@ def _tight_truncation(u: Symbol, rel: float = TIGHT_TAIL_REL) -> int:
         c = u.rational.taylor(2 * n)
         total = max(float(np.linalg.norm(c)), 1e-300)
         suffix = np.sqrt(np.cumsum(np.abs(c[::-1]) ** 2)[::-1])
-        keep = np.nonzero(suffix <= rel * total)[0]
+        keep = np.nonzero(suffix <= TIGHT_TAIL_REL * total)[0]
         if keep.size and keep[0] < c.size:
             return min(TRUNCATION_CAP, max(int(keep[0]) + 8, u.n_modes))
         if 2 * n >= TRUNCATION_CAP:
@@ -227,10 +227,10 @@ class RatioSample:
 
 
 def ratio_certificate(pair: HankelPair, cluster: MultiplicityCluster,
-                      n_samples: int = 3, rng=None) -> tuple:
+                      rng=None) -> tuple:
     """Certify that s h / H_u(h) is a Blaschke product on a cluster.
 
-    For random unit combinations h of the cluster basis the pointwise
+    For three random unit combinations h of the cluster basis the pointwise
     ratio s h(z) / (H_u h)(z) is fitted with numerator and denominator
     degree m - 1 (m the cluster dimension).  The fit must reproduce the
     samples, be unimodular on the circle, and have denominator
@@ -250,7 +250,7 @@ def ratio_certificate(pair: HankelPair, cluster: MultiplicityCluster,
     grid = next_pow2(max(8 * m_dim, 2 * u.n_modes, 32))
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     samples = []
-    for i in range(n_samples):
+    for i in range(RATIO_SAMPLES):
         w = rng.standard_normal(m_dim) + 1j * rng.standard_normal(m_dim)
         h = cluster.basis @ (w / np.linalg.norm(w))
         f = apply_H(u, h)
@@ -324,6 +324,6 @@ def perturbation_sanity(result: AAKResult, n_samples: int = 200,
         except NotAnalyticError:
             continue
         diff = u_ext - pert.taylor(2 * n - 1)
-        sv = scipy.linalg.svdvals(scipy.linalg.hankel(diff[:n], diff[n - 1:]))
+        sv = scipy.linalg.svdvals(exact_section(diff, n))
         best = min(best, float(sv[0]))
     return best

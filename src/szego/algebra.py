@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import FitError, InputError, NotAnalyticError
+from .errors import InputError, NotAnalyticError
 
 TRIM_REL = 1e-12
 COPRIME_TOL = 1e-10
@@ -318,40 +318,3 @@ def fit_rational_samples(points: np.ndarray, values: np.ndarray,
     ratio = np.where(bad, np.inf, num(points) / np.where(bad, 1.0, den_vals))
     residual = float(np.max(np.abs(ratio - values)))
     return num, den, residual
-
-
-def rational_fit(grid: CircleGrid, num_deg: int, den_deg: int,
-                 residual_tol: float = 1e-6) -> RationalFunction:
-    """Fit a rational function to full-circle samples and validate it.
-
-    Requires M >= 2*(num_deg + den_deg) + 1.  The residual must stay below
-    residual_tol times the largest sample modulus, and the fitted
-    denominator must be root-free on the closed disc.
-    """
-    if grid.size < 2 * (num_deg + den_deg) + 1:
-        raise InputError("grid too small for the requested rational degrees")
-    num, den, residual = fit_rational_samples(grid.points(), grid.samples,
-                                              num_deg, den_deg)
-    scale = float(np.max(np.abs(grid.samples))) or 1.0
-    if not np.isfinite(residual) or residual > residual_tol * scale:
-        raise FitError(
-            f"rational fit residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
-    return RationalFunction(num, den, residual=residual, check_coprime=False)
-
-
-def szego_project(coeffs, start: int) -> np.ndarray:
-    """Keep the nonnegative-frequency part of a two-sided coefficient list.
-
-    ``coeffs[i]`` is the coefficient of frequency ``start + i``.  Returns
-    the one-sided list indexed from frequency 0.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    top = start + coeffs.size - 1
-    if top < 0:
-        return np.zeros(0, dtype=complex)
-    out = np.zeros(top + 1, dtype=complex)
-    for i, c in enumerate(coeffs):
-        n = start + i
-        if n >= 0:
-            out[n] = c
-    return out

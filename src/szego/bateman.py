@@ -184,27 +184,3 @@ def identity_residuals(v: InterlacedValues) -> IdentityReport:
 
     return IdentityReport(simple_tau, simple_kappa, float(double_tau),
                           float(double_kappa), float(norm_balance), zero_sigma)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Finite-data shadow of the kernel triviality criterion.
-
-    ``ratio_product`` is prod sigma_j**2/rho_j**2.  For finite-rank data the
-    only decidable statement is whether the product vanishes, which happens
-    exactly when sigma_q = 0, that is when the zero singular value is on the
-    shifted-operator side.  The kernel of the full (non-truncated) operator
-    of a finite-rank symbol is never trivial, so ``kernel_trivial`` is
-    always False here; the product is reported for cross-checking against
-    truncated kernel dimensions (rank difference 1 iff the product is 0).
-    """
-
-    ratio_product: float
-    zero_is_shifted_dominant: bool
-    kernel_trivial: bool = False
-
-
-def kernel_criterion(v: InterlacedValues) -> KernelReport:
-    product = float(np.prod(v.sigma ** 2 / v.rho ** 2))
-    return KernelReport(ratio_product=product,
-                        zero_is_shifted_dominant=(product == 0.0))

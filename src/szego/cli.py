@@ -24,7 +24,7 @@ from .errors import InputError, NumericalError
 from .forward_map import SpectralData, forward
 from .hankel import Symbol, hankel_section, resize_symbol
 from .inverse_map import roundtrip, synthesize
-from .szego_flow import (PROBE_YS, compare_flows, conserved_quantities,
+from .szego_flow import (CONSERVED_LABELS, compare_flows, conserved_quantities,
                          direct_evolve, exact_evolve, hierarchy_exact_evolve,
                          traveling_wave)
 
@@ -202,10 +202,6 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _conserved_header() -> list:
-    return ["l2_sq", "momentum", "energy"] + [f"j_{y:g}" for y in PROBE_YS]
-
-
 def _csv_rows(path: str, header: list, rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -220,7 +216,7 @@ def cmd_evolve(args) -> int:
     coeff_header = []
     for i in range(n):
         coeff_header.extend([f"c{i}_re", f"c{i}_im"])
-    header = ["t"] + coeff_header + _conserved_header()
+    header = ["t"] + coeff_header + list(CONSERVED_LABELS)
 
     def row(t, coeffs, record):
         vals = [t]

@@ -24,7 +24,8 @@ from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
 from .hankel import (DENSE_EIG_MAX, HankelPair, Symbol, apply_H, apply_K,
-                     build_pair, h2_operator, hermitian_eigs, k2_operator)
+                     build_pair, dense_hankel, hermitian_eigs, shifted_coeffs,
+                     square_operator)
 
 DEFAULT_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -155,7 +156,7 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
     return out
 
 
-def _enrich(raw, vectors, u_coeffs, norm_u, kind, membership_rel):
+def _enrich(raw, vectors, u_coeffs, norm_u, kind):
     clusters = []
     for value, idx, is_zero in raw:
         basis = vectors[:, idx]
@@ -165,13 +166,12 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind, membership_rel):
         clusters.append(MultiplicityCluster(
             value=value, s=float(np.sqrt(max(value, 0.0))), dim=len(idx),
             indices=tuple(idx), basis=basis, projection_of_u=proj,
-            projection_norm=pnorm, member=pnorm > membership_rel * norm_u,
+            projection_norm=pnorm, member=pnorm > MEMBERSHIP_REL * norm_u,
             kind=kind, is_zero=is_zero))
     return clusters
 
 
-def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL,
-                     membership_rel: float = MEMBERSHIP_REL, top_k: int | None = None):
+def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
     """Cluster both squares and assign each essential value to one side.
 
     Cross-checks: an essential value on both sides, or a matched pair of
@@ -182,22 +182,21 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL,
     u = pair.symbol
     norm_u = u.l2_norm
     n = pair.n
-    if n > DENSE_EIG_MAX and top_k is None:
-        if u.rational is not None:
-            bound = max(u.rational.den.degree, u.rational.num.degree + 1)
-            top_k = min(bound + 2, n - 2)
-        else:
-            top_k = min(64, n - 2)
     if n <= DENSE_EIG_MAX:
         es_h = hermitian_eigs(pair.h2)
         es_k = hermitian_eigs(pair.k2)
     else:
-        es_h = hermitian_eigs(h2_operator(u), k=top_k)
-        es_k = hermitian_eigs(k2_operator(u), k=top_k)
+        if u.rational is not None:
+            bound = max(u.rational.den.degree, u.rational.num.degree + 1)
+            k = min(bound + 2, n - 2)
+        else:
+            k = min(64, n - 2)
+        es_h = hermitian_eigs(square_operator(u.coeffs), k=k)
+        es_k = hermitian_eigs(square_operator(shifted_coeffs(u)), k=k)
     raw_h = cluster_eigenvalues(es_h.values, rel_tol)
     raw_k = cluster_eigenvalues(es_k.values, rel_tol)
-    clusters_h = _enrich(raw_h, es_h.vectors, u.coeffs, norm_u, "H", membership_rel)
-    clusters_k = _enrich(raw_k, es_k.vectors, u.coeffs, norm_u, "K", membership_rel)
+    clusters_h = _enrich(raw_h, es_h.vectors, u.coeffs, norm_u, "H")
+    clusters_k = _enrich(raw_k, es_k.vectors, u.coeffs, norm_u, "K")
 
     top = max(es_h.values[0], 1e-300)
     match_tol = rel_tol * top
@@ -256,14 +255,8 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL,
     return clusters_h, clusters_k, zero_in_shifted, res_k
 
 
-def project_symbol(pair: HankelPair, cluster: MultiplicityCluster) -> np.ndarray:
-    """Orthogonal projection of the symbol onto the cluster eigenspace."""
-    coef = cluster.basis.conj().T @ pair.symbol.coeffs
-    return cluster.basis @ coef
-
-
-def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray, m: int,
-                     fit_tol: float = RATIO_FIT_TOL) -> BlaschkeProduct:
+def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
+                     m: int) -> BlaschkeProduct:
     """Fit the pointwise ratio num(z)/den(z) on the circle as an inner factor.
 
     The ratio of an essential cluster has an exact representation
@@ -288,7 +281,8 @@ def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray, m: int,
         raise FitError("could not find enough well-conditioned ratio samples")
     ratio = nv[good] / dv[good]
     num, den, residual = fit_rational_samples(points[good], ratio, d, d)
-    if not np.isfinite(residual) or residual > fit_tol * float(np.max(np.abs(ratio))):
+    if (not np.isfinite(residual)
+            or residual > RATIO_FIT_TOL * float(np.max(np.abs(ratio)))):
         raise FitError(f"inner-factor fit residual {residual:.3e} above tolerance")
     if num.degree != d:
         raise DegreeMismatchError(
@@ -326,20 +320,19 @@ class ForwardDetails:
     zero_in_shifted: bool
 
 
-def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL,
-            membership_rel: float = MEMBERSHIP_REL, top_k: int | None = None,
-            details: bool = False):
+def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
     """Full spectral analysis of a symbol.
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
-    is requested.  top_k switches large truncations to Lanczos with that
-    many eigenpairs per square.
+    is requested.  Truncations above 512 modes take the top eigenpairs of
+    each square by Lanczos: rank bound + 2 of them for a rational symbol,
+    64 otherwise.
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
     pair = build_pair(u)
     clusters_h, clusters_k, zero_in_shifted, kernel_proj = sigma_membership(
-        pair, rel_tol, membership_rel, top_k)
+        pair, rel_tol)
     ess_h = [c for c in clusters_h if c.member and not c.is_zero]
     ess_k = [c for c in clusters_k if c.member and not c.is_zero]
     if zero_in_shifted:
@@ -407,7 +400,6 @@ def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
     """
     if np.max(np.abs(u.coeffs.imag)) > 1e-12 * max(u.l2_norm, 1e-300):
         raise InputError("real diagnostics require real coefficients")
-    from .hankel import dense_hankel, shifted_coeffs
     gamma = dense_hankel(u.coeffs)
     gamma_shift = dense_hankel(shifted_coeffs(u))
     top = float(np.max(np.abs(np.linalg.eigvalsh(gamma.real.astype(float)))))

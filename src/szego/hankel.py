@@ -14,13 +14,13 @@ come from dense decomposition below N = 512 or Lanczos above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .algebra import RationalFunction, next_pow2
+from .algebra import Poly, RationalFunction, grid_transform, next_pow2
 from .errors import ConsistencyError, InputError, NumericalError
 
 DENSE_EIG_MAX = 512
@@ -66,12 +66,8 @@ class Symbol:
             return True
         return abs(self.coeffs[-1]) <= RESOLVED_TAIL_REL * top
 
-    def with_coeffs(self, coeffs) -> "Symbol":
-        return Symbol(np.asarray(coeffs, dtype=complex))
-
     def values_on_grid(self, m: int) -> np.ndarray:
         """Evaluate at the m-th roots of unity (m a power of two)."""
-        from .algebra import grid_transform
         return grid_transform(self.coeffs, m).samples
 
     @staticmethod
@@ -129,7 +125,6 @@ def shift_symbol(u: Symbol) -> Symbol:
     if u.rational is not None:
         p = u.rational.num - u.coeffs[0] * u.rational.den
         shifted = p.coeffs[1:] if p else p.coeffs
-        from .algebra import Poly
         rat = RationalFunction(Poly(shifted), u.rational.den, check_coprime=False)
     return Symbol(u.coeffs[1:], rational=rat)
 
@@ -168,6 +163,31 @@ def dense_hankel(c: np.ndarray) -> np.ndarray:
     return scipy.linalg.hankel(c, np.concatenate([c[-1:], np.zeros(c.size - 1)]))
 
 
+def dense_square(c: np.ndarray) -> np.ndarray:
+    """The Hermitian square G G* of dense_hankel(c), symmetrized."""
+    gamma = dense_hankel(c)
+    sq = gamma @ gamma.conj().T
+    # symmetrized in place: one N x N temporary fewer at the peak of build_pair
+    sq += sq.conj().T
+    sq *= 0.5
+    return sq
+
+
+def square_operator(c: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
+    """Matrix-free G G* of the Hankel matrix of c (two FFT matvecs per apply)."""
+    fh = FastHankel(c)
+
+    def mv(x):
+        return fh.matvec(np.conj(fh.matvec(np.conj(x))))
+
+    return scipy.sparse.linalg.LinearOperator((fh.n, fh.n), matvec=mv, dtype=complex)
+
+
+def exact_section(c: np.ndarray, m: int) -> np.ndarray:
+    """The m x m section H[i, j] = c_{i+j} of the first 2m - 1 coefficients."""
+    return scipy.linalg.hankel(c[:m], c[m - 1: 2 * m - 1])
+
+
 def hankel_section(u: "Symbol", m: int) -> np.ndarray:
     """Exact m x m section H[i, j] = c_{i+j} from 2m - 1 coefficients.
 
@@ -177,8 +197,7 @@ def hankel_section(u: "Symbol", m: int) -> np.ndarray:
     """
     if m < 1:
         raise InputError("section size must be at least 1")
-    c = resize_symbol(u, 2 * m - 1).coeffs
-    return scipy.linalg.hankel(c[:m], c[m - 1:])
+    return exact_section(resize_symbol(u, 2 * m - 1).coeffs, m)
 
 
 def apply_H(u: Symbol, h: np.ndarray) -> np.ndarray:
@@ -223,10 +242,8 @@ def build_pair(u: Symbol) -> HankelPair:
     """
     gamma = dense_hankel(u.coeffs)
     gamma_shift = dense_hankel(shifted_coeffs(u))
-    h2 = gamma @ gamma.conj().T
-    k2 = gamma_shift @ gamma_shift.conj().T
-    h2 = 0.5 * (h2 + h2.conj().T)
-    k2 = 0.5 * (k2 + k2.conj().T)
+    h2 = dense_square(u.coeffs)
+    k2 = dense_square(shifted_coeffs(u))
     h2_norm = float(np.linalg.norm(h2, 2)) if u.n_modes > 1 else float(abs(h2[0, 0]))
     predicted = h2 - np.outer(u.coeffs, np.conj(u.coeffs))
     residual = float(np.linalg.norm(k2 - predicted))
@@ -235,27 +252,6 @@ def build_pair(u: Symbol) -> HankelPair:
             f"shifted-square identity residual {residual:.3e} exceeds "
             f"{KU2_RESIDUAL_REL:.1e} * {h2_norm:.3e}")
     return HankelPair(u, gamma, gamma_shift, h2, k2, residual, h2_norm)
-
-
-def h2_operator(u: Symbol) -> scipy.sparse.linalg.LinearOperator:
-    """Matrix-free h2 = gamma conj(gamma) (two FFT matvecs per apply)."""
-    fh = FastHankel(u.coeffs)
-    n = u.n_modes
-
-    def mv(x):
-        return fh.matvec(np.conj(fh.matvec(np.conj(x))))
-
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=mv, dtype=complex)
-
-
-def k2_operator(u: Symbol) -> scipy.sparse.linalg.LinearOperator:
-    fh = FastHankel(shifted_coeffs(u))
-    n = u.n_modes
-
-    def mv(x):
-        return fh.matvec(np.conj(fh.matvec(np.conj(x))))
-
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=mv, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,12 +18,14 @@ from . import bateman
 from .algebra import RationalFunction, next_pow2
 from .errors import InputError, StepSizeError
 from .forward_map import SpectralData, forward
-from .hankel import Symbol, dense_hankel, hankel_matvec
+from .hankel import Symbol, dense_square, hankel_matvec
 from .inverse_map import synthesize
 
 PROBE_YS = (0.1, 1.0, 10.0)
 DT_NORM_LIMIT = 0.1
 DRIFT_LIMIT = 1e-5
+CONSERVED_LABELS = ("l2_sq", "momentum", "energy") + \
+    tuple(f"j_{y:g}" for y in PROBE_YS)
 
 
 def szego_rhs(u: Symbol) -> Symbol:
@@ -53,9 +55,7 @@ def hierarchy_field(u: Symbol, y: float) -> Symbol:
 
 def _hierarchy_rhs(c: np.ndarray, y: float) -> np.ndarray:
     n = c.size
-    gamma = dense_hankel(c)
-    h2 = gamma @ np.conj(gamma)
-    h2 = 0.5 * (h2 + h2.conj().T)
+    h2 = dense_square(c)
     e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
     w = np.linalg.solve(np.eye(n) + y * h2, e0)
@@ -72,15 +72,13 @@ class ConservedRecord:
     momentum: float
     energy: float
     j_probes: np.ndarray
-    probe_ys: tuple
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([[self.l2_sq, self.momentum, self.energy],
                                self.j_probes])
 
     def labels(self) -> list:
-        return ["l2_sq", "momentum", "energy"] + \
-            [f"j_{y:g}" for y in self.probe_ys]
+        return list(CONSERVED_LABELS)
 
 
 def energy_from_values(u: Symbol) -> float:
@@ -90,21 +88,19 @@ def energy_from_values(u: Symbol) -> float:
     return float(0.25 * np.mean(np.abs(vals) ** 4))
 
 
-def conserved_quantities(u: Symbol, probe_ys=PROBE_YS) -> ConservedRecord:
+def conserved_quantities(u: Symbol) -> ConservedRecord:
     """Mass, momentum, quartic energy and the resolvent probes J(y)."""
     c = u.coeffs
     l2 = float(np.sum(np.abs(c) ** 2))
     mom = float(np.sum(np.arange(c.size) * np.abs(c) ** 2))
     energy = energy_from_values(u)
-    gamma = dense_hankel(c)
-    h2 = gamma @ np.conj(gamma)
-    h2 = 0.5 * (h2 + h2.conj().T)
+    h2 = dense_square(c)
     eye = np.eye(c.size)
     e0 = np.zeros(c.size, dtype=complex)
     e0[0] = 1.0
     probes = np.array([np.linalg.solve(eye + y * h2, e0)[0].real
-                       for y in probe_ys])
-    return ConservedRecord(l2, mom, energy, probes, tuple(probe_ys))
+                       for y in PROBE_YS])
+    return ConservedRecord(l2, mom, energy, probes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +125,14 @@ class Trajectory:
         return Symbol(self.states[-1])
 
 
-def direct_evolve(u0: Symbol, t_final: float, dt: float, y: float | None = None,
-                  record_every: int | None = None, probe_ys=PROBE_YS,
-                  drift_limit: float = DRIFT_LIMIT) -> Trajectory:
+def direct_evolve(u0: Symbol, t_final: float, dt: float,
+                  y: float | None = None) -> Trajectory:
     """Integrate the cubic flow (or the hierarchy field for given y) by RK4.
 
     Refuses steps with dt * sum |c|^2 > 0.1.  Conserved quantities are
-    recorded along the way; if any drifts by more than drift_limit
-    (relative to max(initial value, 1)) the step size was too coarse and
-    a StepSizeError reports the offenders.
+    recorded every max(1, steps // 100) steps and at the end; if any drifts
+    by more than 1e-5 (relative to max(initial value, 1)) the step size was
+    too coarse and a StepSizeError reports the offenders.
     """
     if t_final < 0 or dt <= 0:
         raise InputError("need t_final >= 0 and dt > 0")
@@ -147,8 +142,7 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float, y: float | None = None,
             f"dt * |u|^2 = {dt * l2:.3e} exceeds {DT_NORM_LIMIT}; shrink dt")
     steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     dt_eff = t_final / steps if steps else 0.0
-    if record_every is None:
-        record_every = max(1, steps // 100) if steps else 1
+    record_every = max(1, steps // 100)
 
     if y is None:
         rhs = _cubic_rhs
@@ -163,7 +157,7 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float, y: float | None = None,
     c = u0.coeffs.astype(complex).copy()
     times = [0.0]
     states = [c.copy()]
-    records = [conserved_quantities(Symbol(c), probe_ys)]
+    records = [conserved_quantities(Symbol(c))]
     for step in range(steps):
         k1 = rhs(c)
         k2 = rhs(c + 0.5 * dt_eff * k1)
@@ -173,7 +167,7 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float, y: float | None = None,
         if (step + 1) % record_every == 0 or step == steps - 1:
             times.append((step + 1) * dt_eff)
             states.append(c.copy())
-            records.append(conserved_quantities(Symbol(c), probe_ys))
+            records.append(conserved_quantities(Symbol(c)))
 
     base = records[0].as_vector()
     scale = np.maximum(np.abs(base), 1.0)
@@ -181,9 +175,9 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float, y: float | None = None,
     for rec in records[1:]:
         worst = np.maximum(worst, np.abs(rec.as_vector() - base) / scale)
     drift = dict(zip(records[0].labels(), worst))
-    if worst.size and worst.max() > drift_limit:
+    if worst.size and worst.max() > DRIFT_LIMIT:
         bad = ", ".join(f"{k}={v:.3e}" for k, v in drift.items()
-                        if v > drift_limit)
+                        if v > DRIFT_LIMIT)
         raise StepSizeError(f"conserved quantities drifted: {bad}")
     return Trajectory(np.array(times), np.array(states), tuple(records),
                       drift, dt_eff, label)
@@ -226,7 +220,7 @@ class FlowComparison:
 
 
 def compare_flows(u0: Symbol, t_final: float, dt: float, y: float | None = None,
-                  rel_tol: float = 1e-6, record_every: int | None = None) -> FlowComparison:
+                  rel_tol: float = 1e-6) -> FlowComparison:
     """Integrate directly and through spectral data, and measure the gap.
 
     The exact route analyzes u0 once, rotates the phases to each recorded
@@ -234,7 +228,7 @@ def compare_flows(u0: Symbol, t_final: float, dt: float, y: float | None = None,
     state at the truncation size of u0.
     """
     data0 = forward(u0, rel_tol=rel_tol)
-    traj = direct_evolve(u0, t_final, dt, y=y, record_every=record_every)
+    traj = direct_evolve(u0, t_final, dt, y=y)
     norm = max(u0.l2_norm, 1e-300)
     gaps = np.zeros(traj.times.size)
     n = u0.n_modes
@@ -354,33 +348,3 @@ def traveling_wave(alpha: complex, ell: int, n_wave: int, p: complex,
     return TravelingWaveReport(u, data, rho, sigma, speed, omega,
                                fitted_speed, fitted_omega,
                                not failures, tuple(failures), residual)
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Closest return of a trajectory to its initial state."""
-
-    best_time: float
-    best_gap: float
-    searched_from: float
-
-
-def recurrence_gap(u0: Symbol, t_final: float, dt: float,
-                   settle: float | None = None) -> RecurrenceReport:
-    """How close the cubic flow returns to u0 after an initial settle time.
-
-    Purely observational: reports min ||u(t) - u0|| / ||u0|| over recorded
-    times t >= settle (default t_final / 20).
-    """
-    traj = direct_evolve(u0, t_final, dt)
-    if settle is None:
-        settle = t_final / 20.0
-    norm = max(u0.l2_norm, 1e-300)
-    best_t, best_g = 0.0, np.inf
-    for t, state in zip(traj.times, traj.states):
-        if t < settle:
-            continue
-        gap = float(np.linalg.norm(state - traj.states[0])) / norm
-        if gap < best_g:
-            best_t, best_g = float(t), gap
-    return RecurrenceReport(best_t, best_g, float(settle))

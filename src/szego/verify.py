@@ -3,15 +3,12 @@
 Each suite draws its inputs deterministically from a seed, then checks
 module invariants: the closed-form identity battery, round trips of the
 spectral map, the approximation certificates, flow agreement, and the
-real-symbol diagnostics.  Cases execute in a thread pool (the work is
-numpy-bound) capped by the SZEGO_THREADS environment variable, and come
-back in a deterministic order.
+real-symbol diagnostics.  Cases run one after another and come back in
+the order their suites list them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +32,6 @@ class VerifyCase:
     name: str
     passed: bool
     detail: str
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SZEGO_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------- generators
@@ -324,8 +311,8 @@ _BUILDERS = {
 def run(suites=None, seed: int = 0) -> list:
     """Run the named suites (all by default); returns ordered VerifyCase list.
 
-    Case inputs are drawn serially from per-suite seeds, so results do not
-    depend on the thread pool size.
+    Each suite draws its case inputs from its own seed.  A case that
+    raises becomes a failed VerifyCase whose detail names the exception.
     """
     if suites is None:
         suites = SUITE_NAMES
@@ -336,15 +323,11 @@ def run(suites=None, seed: int = 0) -> list:
         for case_name, fn in _BUILDERS[name](seed + 1000 * offset):
             jobs.append((name, case_name, fn))
 
-    def execute(job):
-        suite, case_name, fn = job
+    results = []
+    for suite, case_name, fn in jobs:
         try:
             passed, detail = fn()
         except Exception as exc:  # report, never crash the runner
-            return VerifyCase(suite, case_name, False,
-                              f"{type(exc).__name__}: {exc}")
-        return VerifyCase(suite, case_name, bool(passed), detail)
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        results = list(pool.map(execute, jobs))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(VerifyCase(suite, case_name, bool(passed), detail))
     return results

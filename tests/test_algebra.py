@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from szego.algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
                            grid_transform, interpolate, next_pow2,
                            polymatrix_det_minors, root_free_on_closed_disc,
-                           szego_project, trim_coeffs)
+                           trim_coeffs)
 from szego.errors import InputError, NotAnalyticError
 
 
@@ -132,12 +132,3 @@ def test_polymatrix_det_matches_pointwise(rng):
 def test_polymatrix_det_rejects_ragged_input():
     with pytest.raises(InputError):
         polymatrix_det_minors([[Poly.one()], [Poly.one(), Poly.one()]], 1)
-
-
-def test_szego_project_drops_negative_modes():
-    # Laurent coefficients for indices -1, 0, 1 with start = -1
-    out = szego_project(np.array([9.0, 1.0, 2.0]), start=-1)
-    assert np.allclose(out, [1.0, 2.0])
-    # already analytic input is unchanged
-    out2 = szego_project(np.array([1.0, 2.0]), start=0)
-    assert np.allclose(out2, [1.0, 2.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from szego.bateman import (InterlacedValues, identity_residuals, j_of_x,
-                           kappa_squares, kernel_criterion, tau_squares)
+                           kappa_squares, tau_squares)
 from szego.errors import InputError, NumericalError
 from szego.verify import random_interlaced
 
@@ -70,14 +70,3 @@ def test_j_of_x_refuses_points_near_poles():
     v = InterlacedValues(np.array([2.0]), np.array([1.0]))
     with pytest.raises(NumericalError):
         j_of_x(v, 0.25 + 1e-14)    # 1/rho^2 = 0.25
-
-
-def test_kernel_criterion_product():
-    with_zero = InterlacedValues(np.array([4.0, 1.0]), np.array([2.0, 0.0]))
-    assert kernel_criterion(with_zero).ratio_product == 0.0
-    assert kernel_criterion(with_zero).zero_is_shifted_dominant
-    without = InterlacedValues(np.array([4.0, 1.0]), np.array([2.0, 0.5]))
-    rep = kernel_criterion(without)
-    assert rep.ratio_product > 0.0
-    assert not rep.zero_is_shifted_dominant
-    assert not rep.kernel_trivial

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import szego
 from szego.cli import main
 
 
@@ -139,7 +142,11 @@ def test_inconsistent_spectral_file_is_an_input_error(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     u_path = write_symbol(tmp_path / "u.json", [3.0, 2.0])
+    # the child must import the same package, installed or not
+    src = str(Path(szego.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "szego.cli",
                            "roundtrip", u_path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr

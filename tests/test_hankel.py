@@ -5,8 +5,9 @@ import scipy.linalg
 from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError
 from szego.hankel import (Symbol, apply_H, apply_K, build_pair, dense_hankel,
-                          hankel_matvec, hankel_section, hermitian_eigs,
-                          h2_operator, resize_symbol, shift_symbol)
+                          dense_square, hankel_matvec, hankel_section,
+                          hermitian_eigs, resize_symbol, shift_symbol,
+                          shifted_coeffs, square_operator)
 
 
 def test_dense_hankel_hand_values(hand_symbol):
@@ -74,13 +75,24 @@ def test_hermitian_eigs_dense_path(rng):
     assert np.max(np.abs(res)) < 1e-9 * sys.values[0]
 
 
-def test_hermitian_eigs_operator_path(rng):
+@pytest.mark.parametrize("coeffs_of", [lambda u: u.coeffs, shifted_coeffs],
+                         ids=["plain", "shifted"])
+def test_hermitian_eigs_operator_path(rng, coeffs_of):
     c = rng.standard_normal(700) + 1j * rng.standard_normal(700)
     c *= 0.5 ** np.arange(700)
-    u = Symbol(c)
-    top = hermitian_eigs(h2_operator(u), k=4)
-    dense = np.linalg.eigvalsh(dense_hankel(c) @ np.conj(dense_hankel(c)))[::-1]
+    cc = coeffs_of(Symbol(c))
+    top = hermitian_eigs(square_operator(cc), k=4)
+    dense = np.linalg.eigvalsh(dense_hankel(cc) @ np.conj(dense_hankel(cc)))[::-1]
     assert np.max(np.abs(top.values - dense[:4])) < 1e-9 * dense[0]
+
+
+def test_dense_square_is_the_hermitian_square(rng):
+    c = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    gamma = dense_hankel(c)
+    direct = gamma @ gamma.conj().T
+    sq = dense_square(c)
+    assert np.max(np.abs(sq - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.array_equal(sq, sq.conj().T)
 
 
 def test_from_rational_resolves_geometric():
