@@ -20,7 +20,7 @@ from .algebra import (RationalFunction, conj_reflect, fit_rational_samples,
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import MultiplicityCluster
-from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, apply_H, build_pair,
+from .hankel import (TRUNCATION_CAP, Symbol, apply_H, dense_square,
                      exact_section, hermitian_eigs, resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
@@ -41,8 +41,8 @@ class SchmidtVector:
     residual: float
 
 
-def schmidt_vector(pair: HankelPair, s: float, eigs=None) -> SchmidtVector:
-    """Symmetric Schmidt vector of the pair's plain square at value s.
+def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
+    """Symmetric Schmidt vector of the plain square of u at value s.
 
     Takes an eigenvector v of the square at s**2 and symmetrizes:
     h = v + (1/s) H_u(v), falling back to i v + (1/s) H_u(i v) when the
@@ -52,14 +52,13 @@ def schmidt_vector(pair: HankelPair, s: float, eigs=None) -> SchmidtVector:
     if s <= 0.0:
         raise InputError("Schmidt construction needs s > 0")
     if eigs is None:
-        eigs = hermitian_eigs(pair.h2)
+        eigs = hermitian_eigs(dense_square(u.coeffs))
     vals = eigs.values
     idx = int(np.argmin(np.abs(vals - s * s)))
     top = float(vals[0]) if vals.size else 0.0
     if abs(vals[idx] - s * s) > 1e-6 * max(top, 1.0):
         raise InputError(f"s**2 = {s * s:.6e} is not an eigenvalue of the square")
     v = eigs.vectors[:, idx]
-    u = pair.symbol
     hv = apply_H(u, v)
     h = v + hv / s
     if np.linalg.norm(h) <= 1e-8 * np.linalg.norm(v):
@@ -166,8 +165,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     n_work = _tight_truncation(u)
     while True:
         ub = resize_symbol(u, n_work)
-        pair = build_pair(ub)
-        eigs = hermitian_eigs(pair.h2)
+        eigs = hermitian_eigs(dense_square(ub.coeffs))
         svals = np.sqrt(np.clip(eigs.values, 0.0, None))
         top = float(svals[0]) if svals.size else 0.0
         if top == 0.0:
@@ -186,7 +184,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
                 f"gap hypothesis fails: s_{k - 1} - s_k = "
                 f"{svals[k - 1] - svals[k]:.3e}")
         s = float(svals[k])
-        sv = schmidt_vector(pair, s, eigs)
+        sv = schmidt_vector(ub, s, eigs)
 
         m = next_pow2(GRID_FACTOR * n_work)
         hv = None
@@ -226,7 +224,7 @@ class RatioSample:
     degree: int
 
 
-def ratio_certificate(pair: HankelPair, cluster: MultiplicityCluster,
+def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
                       rng=None) -> tuple:
     """Certify that s h / H_u(h) is a Blaschke product on a cluster.
 
@@ -242,7 +240,6 @@ def ratio_certificate(pair: HankelPair, cluster: MultiplicityCluster,
     if cluster.is_zero or cluster.s <= 0.0:
         raise InputError("ratio certificate needs a positive spectral value")
     rng = np.random.default_rng(7) if rng is None else rng
-    u = pair.symbol
     m_dim = cluster.dim
     d = m_dim - 1
     # the grid must cover the coefficient vectors: np.fft.ifft crops its

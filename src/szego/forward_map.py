@@ -1,6 +1,6 @@
 """The forward spectral map: symbol to interlaced values and inner factors.
 
-Pipeline: build the truncated pair, diagonalize both Hermitian squares,
+Pipeline: diagonalize both Hermitian squares of the truncated pair,
 group nearly equal eigenvalues into multiplicity clusters, decide for each
 cluster whether the symbol projects onto it (plain side or shifted side),
 and recover the inner factor of each essential cluster from the pointwise
@@ -23,9 +23,9 @@ from .algebra import conj_reflect, fit_rational_samples, grid_transform, next_po
 from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (DENSE_EIG_MAX, HankelPair, Symbol, apply_H, apply_K,
-                     build_pair, dense_hankel, hermitian_eigs, shifted_coeffs,
-                     square_operator)
+from .hankel import (DENSE_EIG_MAX, Symbol, apply_H, apply_K, build_pair,
+                     check_shifted_square, dense_hankel, hermitian_eigs,
+                     shifted_coeffs, square_operator)
 
 DEFAULT_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -171,18 +171,21 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
     return clusters
 
 
-def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
+def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
     """Cluster both squares and assign each essential value to one side.
 
-    Cross-checks: an essential value on both sides, or a matched pair of
-    clusters whose dimensions do not differ by exactly one, is a structural
-    contradiction and raises.  Returns (clusters_h, clusters_k,
-    zero_in_shifted, shifted_kernel_projection).
+    Up to 512 modes the dense pair is fully diagonalized; above that, the
+    matrix-free squares give their top rank bound + 2 eigenpairs (64 for
+    a non-rational symbol) by Lanczos.  Cross-checks: an essential value
+    on both sides, or a matched pair of clusters whose dimensions do not
+    differ by exactly one, is a structural contradiction and raises.
+    Returns (clusters_h, clusters_k, zero_in_shifted,
+    shifted_kernel_projection).
     """
-    u = pair.symbol
     norm_u = u.l2_norm
-    n = pair.n
+    n = u.n_modes
     if n <= DENSE_EIG_MAX:
+        pair = build_pair(u)
         es_h = hermitian_eigs(pair.h2)
         es_k = hermitian_eigs(pair.k2)
     else:
@@ -191,8 +194,11 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
             k = min(bound + 2, n - 2)
         else:
             k = min(64, n - 2)
-        es_h = hermitian_eigs(square_operator(u.coeffs), k=k)
-        es_k = hermitian_eigs(square_operator(shifted_coeffs(u)), k=k)
+        h2 = square_operator(u.coeffs)
+        k2 = square_operator(shifted_coeffs(u))
+        es_h = hermitian_eigs(h2, k=k)
+        check_shifted_square(h2, k2, u.coeffs, es_h.values[0])
+        es_k = hermitian_eigs(k2, k=k)
     raw_h = cluster_eigenvalues(es_h.values, rel_tol)
     raw_k = cluster_eigenvalues(es_k.values, rel_tol)
     clusters_h = _enrich(raw_h, es_h.vectors, u.coeffs, norm_u, "H")
@@ -202,6 +208,12 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
     match_tol = rel_tol * top
     pos_h = [c for c in clusters_h if not c.is_zero]
     pos_k = [c for c in clusters_k if not c.is_zero]
+    # 0 sits in the shifted spectrum exactly when the shifted rank is one
+    # short of the plain rank.  Ranks add the cluster dimensions over all
+    # detected values (an essential value contributes its own dimension on
+    # its side and the matched dimension, possibly zero, on the other),
+    # which is far more robust than thresholding a kernel projection.
+    rank_h = rank_k = 0
     for ch in pos_h:
         mk = [c for c in pos_k if abs(c.value - ch.value) <= match_tol]
         dim_k = mk[0].dim if mk else 0
@@ -213,13 +225,18 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
                 raise SpectralInconsistencyError(
                     f"essential plain value {ch.s:.6g}: dims {ch.dim} vs {dim_k} "
                     "(difference must be 1)")
+            rank_h += ch.dim
+            rank_k += dim_k
     for ck in pos_k:
         mh = [c for c in pos_h if abs(c.value - ck.value) <= match_tol]
         dim_h = mh[0].dim if mh else 0
-        if ck.member and ck.dim - dim_h != 1:
-            raise SpectralInconsistencyError(
-                f"essential shifted value {ck.s:.6g}: dims {ck.dim} vs {dim_h} "
-                "(difference must be 1)")
+        if ck.member:
+            if ck.dim - dim_h != 1:
+                raise SpectralInconsistencyError(
+                    f"essential shifted value {ck.s:.6g}: dims {ck.dim} vs {dim_h} "
+                    "(difference must be 1)")
+            rank_k += ck.dim
+            rank_h += dim_h
 
     # The symbol is orthogonal to the kernel of the plain operator, so the
     # essential plain projections must add back to the symbol.
@@ -229,24 +246,6 @@ def sigma_membership(pair: HankelPair, rel_tol: float = DEFAULT_REL_TOL):
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
     res_k = u.coeffs - sum(c.projection_of_u for c in pos_k if c.member)
-
-    # 0 sits in the shifted spectrum exactly when the shifted rank is one
-    # short of the plain rank.  Ranks add the cluster dimensions over all
-    # detected values (an essential value contributes its own dimension on
-    # its side and the matched dimension, possibly zero, on the other),
-    # which is far more robust than thresholding a kernel projection.
-    rank_h = 0
-    rank_k = 0
-    for ch in pos_h:
-        if ch.member:
-            mk = [c for c in pos_k if abs(c.value - ch.value) <= match_tol]
-            rank_h += ch.dim
-            rank_k += mk[0].dim if mk else 0
-    for ck in pos_k:
-        if ck.member:
-            mh = [c for c in pos_h if abs(c.value - ck.value) <= match_tol]
-            rank_k += ck.dim
-            rank_h += mh[0].dim if mh else 0
     if rank_h not in (rank_k, rank_k + 1):
         raise SpectralInconsistencyError(
             f"plain rank {rank_h} vs shifted rank {rank_k}: "
@@ -312,7 +311,6 @@ def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
 class ForwardDetails:
     """Inspection payload accompanying a forward analysis."""
 
-    pair: HankelPair
     clusters_h: list
     clusters_k: list
     essential: list        # MultiplicityCluster per stored singular value
@@ -324,15 +322,13 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
     """Full spectral analysis of a symbol.
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
-    is requested.  Truncations above 512 modes take the top eigenpairs of
-    each square by Lanczos: rank bound + 2 of them for a rational symbol,
-    64 otherwise.
+    is requested.  Truncations above 512 modes form no N x N matrix (see
+    sigma_membership).
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
-    pair = build_pair(u)
     clusters_h, clusters_k, zero_in_shifted, kernel_proj = sigma_membership(
-        pair, rel_tol)
+        u, rel_tol)
     ess_h = [c for c in clusters_h if c.member and not c.is_zero]
     ess_k = [c for c in clusters_k if c.member and not c.is_zero]
     if zero_in_shifted:
@@ -362,7 +358,7 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
         psi.append(b)
     data = SpectralData(values, tuple(psi))
     if details:
-        return data, ForwardDetails(pair, clusters_h, clusters_k, merged,
+        return data, ForwardDetails(clusters_h, clusters_k, merged,
                                     kernel_proj, zero_in_shifted)
     return data
 
@@ -382,10 +378,10 @@ class RealDiagnostics:
     failures: tuple
 
 
-def _signed_eigs(matrix: np.ndarray, floor: float) -> np.ndarray:
+def _signed_eigs(matrix: np.ndarray) -> np.ndarray:
+    """Signed eigenvalues of the real part, largest modulus first."""
     vals = np.linalg.eigvalsh(matrix.real.astype(float))
-    vals = vals[np.argsort(np.abs(vals))[::-1]]
-    return vals[np.abs(vals) > floor]
+    return vals[np.argsort(np.abs(vals))[::-1]]
 
 
 def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
@@ -400,12 +396,12 @@ def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
     """
     if np.max(np.abs(u.coeffs.imag)) > 1e-12 * max(u.l2_norm, 1e-300):
         raise InputError("real diagnostics require real coefficients")
-    gamma = dense_hankel(u.coeffs)
-    gamma_shift = dense_hankel(shifted_coeffs(u))
-    top = float(np.max(np.abs(np.linalg.eigvalsh(gamma.real.astype(float)))))
+    lambdas = _signed_eigs(dense_hankel(u.coeffs))
+    mus = _signed_eigs(dense_hankel(shifted_coeffs(u)))
+    top = float(abs(lambdas[0]))
     floor = REAL_ZERO_FLOOR_REL * max(top, 1e-300)
-    lambdas = _signed_eigs(gamma, floor)
-    mus = _signed_eigs(gamma_shift, floor)
+    lambdas = lambdas[np.abs(lambdas) > floor]
+    mus = mus[np.abs(mus) > floor]
 
     failures = []
     interleaved = []

@@ -8,8 +8,9 @@ positive semidefinite and satisfy the exact truncation identity
 
     (shifted square) = (square) - outer(u, conj(u)).
 
-Matvecs run in O(N log N) through circulant embedding, and eigensystems
-come from dense decomposition below N = 512 or Lanczos above.
+Matvecs run in O(N log N) through circulant embedding.  Up to N = 512
+the squares are formed densely and fully diagonalized; above that they
+stay matrix-free operators whose top eigenpairs come from Lanczos.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ TRUNCATION_CAP = 8192
 EIG_RESIDUAL_REL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
 KU2_RESIDUAL_REL = 1e-10
+IDENTITY_PROBES = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,40 +220,49 @@ def shifted_coeffs(u: Symbol) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HankelPair:
-    """Dense truncated matrices of a symbol and its shift, with squares."""
+    """Dense Hermitian squares of a symbol's truncated matrix and of its shift."""
 
     symbol: Symbol
-    gamma: np.ndarray
-    gamma_shift: np.ndarray
     h2: np.ndarray
     k2: np.ndarray
     ku2_residual: float
     h2_norm: float
 
-    @property
-    def n(self) -> int:
-        return self.symbol.n_modes
+
+def _check_ku2(residual: float, h2_norm: float) -> float:
+    if h2_norm > 0.0 and residual > KU2_RESIDUAL_REL * h2_norm:
+        raise ConsistencyError(
+            f"shifted-square identity residual {residual:.3e} exceeds "
+            f"{KU2_RESIDUAL_REL:.1e} * {h2_norm:.3e}")
+    return residual
 
 
 def build_pair(u: Symbol) -> HankelPair:
-    """Assemble gamma, the shifted gamma, and their Hermitian squares.
+    """Assemble the Hermitian squares of the plain and shifted matrices.
 
     The identity k2 = h2 - outer(u, conj(u)) holds exactly on the
     truncation; its numerical residual is stored and must stay below
     1e-10 times the norm of h2.
     """
-    gamma = dense_hankel(u.coeffs)
-    gamma_shift = dense_hankel(shifted_coeffs(u))
     h2 = dense_square(u.coeffs)
     k2 = dense_square(shifted_coeffs(u))
     h2_norm = float(np.linalg.norm(h2, 2)) if u.n_modes > 1 else float(abs(h2[0, 0]))
     predicted = h2 - np.outer(u.coeffs, np.conj(u.coeffs))
-    residual = float(np.linalg.norm(k2 - predicted))
-    if h2_norm > 0.0 and residual > KU2_RESIDUAL_REL * h2_norm:
-        raise ConsistencyError(
-            f"shifted-square identity residual {residual:.3e} exceeds "
-            f"{KU2_RESIDUAL_REL:.1e} * {h2_norm:.3e}")
-    return HankelPair(u, gamma, gamma_shift, h2, k2, residual, h2_norm)
+    residual = _check_ku2(float(np.linalg.norm(k2 - predicted)), h2_norm)
+    return HankelPair(u, h2, k2, residual, h2_norm)
+
+
+def check_shifted_square(h2, k2, c: np.ndarray, h2_norm: float) -> float:
+    """Matrix-free k2 = h2 - outer(c, conj(c)) on seeded unit probes x.
+
+    Each ||k2 x - h2 x + c (c* x)|| must stay within build_pair's bound.
+    """
+    rng = np.random.default_rng(0)
+    x = (rng.standard_normal((c.size, IDENTITY_PROBES))
+         + 1j * rng.standard_normal((c.size, IDENTITY_PROBES)))
+    x /= np.linalg.norm(x, axis=0)
+    r = k2 @ x - h2 @ x + np.outer(c, np.conj(c) @ x)
+    return _check_ku2(float(np.max(np.linalg.norm(r, axis=0))), h2_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +273,6 @@ class EigenSystem:
     vectors: np.ndarray
     max_residual: float
     orthonormality: float
-    full: bool = True
 
 
 def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:
@@ -283,38 +293,30 @@ def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:
 def hermitian_eigs(a, k: int | None = None) -> EigenSystem:
     """Eigendecomposition of a Hermitian PSD matrix or linear operator.
 
-    Dense path (numpy eigh) for matrices of size <= 512 or when all
-    eigenvalues are requested on a dense matrix; Lanczos (ARPACK eigsh)
-    for the top-k of large matrices and of matrix-free operators.
-    Eigenvalues come back descending, clipped at zero; residual and
-    orthonormality checks are enforced.
+    A dense matrix gets every eigenpair (numpy eigh); a matrix-free
+    operator gets its top k by Lanczos (ARPACK eigsh), and k is required
+    for an operator only.  Eigenvalues come back descending, clipped at
+    zero; residual and orthonormality checks are enforced.
     """
+    apply_a = lambda x: a @ x
     if isinstance(a, np.ndarray):
+        if k is not None:
+            raise InputError("a dense matrix gets all its eigenpairs, not the top k")
         n = a.shape[0]
         herm = float(np.max(np.abs(a - a.conj().T))) if n > 0 else 0.0
         scale = float(np.max(np.abs(a))) or 1.0
         if herm > 1e-12 * scale:
             raise InputError(f"matrix is not Hermitian (asymmetry {herm:.3e})")
-        if k is None or n <= DENSE_EIG_MAX:
-            vals, vecs = np.linalg.eigh(a)
-            order = np.argsort(vals)[::-1]
-            vals = np.clip(vals[order], 0.0, None)
-            vecs = vecs[:, order]
-            if k is not None:
-                vals, vecs = vals[:k], vecs[:, :k]
-            res, ortho = _validate_eigs(lambda x: a @ x, vals, vecs,
-                                        vals[0] if vals.size else 0.0)
-            return EigenSystem(vals, vecs, res, ortho, full=(k is None))
-        op = scipy.sparse.linalg.aslinearoperator(a)
-        apply_a = lambda x: a @ x
-    else:
-        op = a
-        n = op.shape[0]
-        if k is None:
-            raise InputError("matrix-free eigendecomposition needs an explicit k")
-        apply_a = lambda x: op @ x
+        vals, vecs = np.linalg.eigh(a)
+        order = np.argsort(vals)[::-1]
+        vals = np.clip(vals[order], 0.0, None)
+        vecs = vecs[:, order]
+        res, ortho = _validate_eigs(apply_a, vals, vecs, vals[0] if vals.size else 0.0)
+        return EigenSystem(vals, vecs, res, ortho)
+    if k is None:
+        raise InputError("matrix-free eigendecomposition needs an explicit k")
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="LA")
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="LA")
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NumericalError(f"Lanczos did not converge: {exc}") from exc
     # Lanczos loses orthogonality between vectors of nearly equal
@@ -328,4 +330,4 @@ def hermitian_eigs(a, k: int | None = None) -> EigenSystem:
     vals = np.clip(tvals[order], 0.0, None)
     vecs = q_mat @ tvecs[:, order]
     res, ortho = _validate_eigs(apply_a, vals, vecs, vals[0] if vals.size else 0.0)
-    return EigenSystem(vals, vecs, res, ortho, full=False)
+    return EigenSystem(vals, vecs, res, ortho)

@@ -122,9 +122,10 @@ def synthesize(data: SpectralData) -> SynthesisResult:
 
     Raises HypothesisViolationError when the determinant degree falls
     short of q + sum d_r or a root of the determinant comes within 1e-10
-    of the closed unit disc; for valid interlaced data with Schur factors
-    this cannot happen mathematically, so a violation signals corrupted
-    input or numerical failure.
+    of the closed unit disc.  For valid interlaced data with Schur factors
+    neither holds in exact arithmetic, so a violation signals corrupted
+    input or lost precision: long geometric spectra (s = 10 * 0.8**k with
+    n = 32 and constant factors) already trip the root certificate.
     """
     cm = build_cmatrix(data)
     q, n_deg = cm.q, cm.total_degree

@@ -5,7 +5,7 @@ from szego.aak import (best_approx, perturbation_sanity, ratio_certificate,
                        schmidt_vector)
 from szego.errors import InputError
 from szego.forward_map import forward
-from szego.hankel import Symbol, build_pair, resize_symbol
+from szego.hankel import Symbol, resize_symbol
 
 
 def test_hand_best_rank_one(hand_symbol):
@@ -35,8 +35,7 @@ def test_order_below_one_rejected(hand_symbol):
 
 
 def test_schmidt_vector_hand(hand_symbol):
-    pair = build_pair(resize_symbol(hand_symbol, 8))
-    sv = schmidt_vector(pair, 4.0)
+    sv = schmidt_vector(resize_symbol(hand_symbol, 8), 4.0)
     assert sv.residual < 1e-9 * 4.0
     direction = np.array([2.0, 1.0]) / np.sqrt(5.0)
     overlap = abs(np.vdot(sv.h[:2], direction))
@@ -63,10 +62,9 @@ def test_perturbation_sanity_hand(hand_symbol):
 
 def test_ratio_certificate_monomial():
     u = resize_symbol(Symbol(np.array([0.0, 1.0])), 8)
-    pair = build_pair(u)
     _, details = forward(u, details=True)
     cluster = next(c for c in details.clusters_h if c.member and not c.is_zero)
-    samples = ratio_certificate(pair, cluster)
+    samples = ratio_certificate(u, cluster)
     for sample in samples:
         assert sample.fit_residual < 1e-6
         assert sample.unimodularity < 1e-6
@@ -74,8 +72,8 @@ def test_ratio_certificate_monomial():
 
 
 def test_ratio_certificate_rejects_shifted_clusters(hand_symbol):
-    pair = build_pair(resize_symbol(hand_symbol, 8))
-    _, details = forward(pair.symbol, details=True)
+    u = resize_symbol(hand_symbol, 8)
+    _, details = forward(u, details=True)
     k_member = next(c for c in details.clusters_k if c.member)
     with pytest.raises(InputError):
-        ratio_certificate(pair, k_member)
+        ratio_certificate(u, k_member)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from szego.algebra import Poly, RationalFunction
 from szego.blaschke import BlaschkeProduct, from_zeros
 from szego.errors import InputError
 from szego.forward_map import SpectralData, forward, real_diagnostics
-from szego.hankel import Symbol, resize_symbol
+from szego.hankel import DENSE_EIG_MAX, Symbol, resize_symbol
 from szego.inverse_map import fourvalue_formula
 from szego.verify import random_real_symbol
 
@@ -110,3 +111,15 @@ def test_forward_matches_fourvalue_spectrum():
     u = fourvalue_formula(4.0, 2.0, 1.0, 0.3)
     data = forward(u)
     assert np.max(np.abs(data.s - [4.0, 2.0, 1.0, 0.3])) < 1e-8
+
+
+def test_matrix_free_path_rank_one_closed_form():
+    # 1/(1 - r z) has s = 1/(1 - r**2) on the plain side and r/(1 - r**2)
+    # on the shifted side; r = 0.962 resolves at N = 1024, above the cutoff
+    r = 0.962
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
+    assert u.n_modes == 1024 > DENSE_EIG_MAX
+    data = forward(u)
+    expect = np.array([1.0, r]) / (1.0 - r * r)
+    assert data.n == 2
+    assert np.max(np.abs(data.s - expect)) < 1e-9 * expect[0]

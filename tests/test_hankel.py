@@ -4,10 +4,11 @@ import scipy.linalg
 
 from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError
-from szego.hankel import (Symbol, apply_H, apply_K, build_pair, dense_hankel,
-                          dense_square, hankel_matvec, hankel_section,
-                          hermitian_eigs, resize_symbol, shift_symbol,
-                          shifted_coeffs, square_operator)
+from szego.hankel import (Symbol, apply_H, apply_K, build_pair,
+                          check_shifted_square, dense_hankel, dense_square,
+                          hankel_matvec, hankel_section, hermitian_eigs,
+                          resize_symbol, shift_symbol, shifted_coeffs,
+                          square_operator)
 
 
 def test_dense_hankel_hand_values(hand_symbol):
@@ -54,6 +55,19 @@ def test_shifted_square_identity(rng):
     assert np.max(np.abs(pair.k2 - (pair.h2 - correction))) < 1e-10
 
 
+def test_matrix_free_shifted_square_identity(rng):
+    c = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    c *= 0.9 ** np.arange(600)
+    h2 = square_operator(c)
+    k2 = square_operator(shifted_coeffs(Symbol(c)))
+    top = hermitian_eigs(h2, k=1).values[0]
+    assert check_shifted_square(h2, k2, c, top) <= 1e-10 * top
+    # the shift of a different symbol breaks the identity
+    other = square_operator(np.concatenate([c[2:], [0.0, 0.0]]))
+    with pytest.raises(ConsistencyError):
+        check_shifted_square(h2, other, c, top)
+
+
 def test_apply_k_drops_constant(hand_symbol):
     u = resize_symbol(hand_symbol, 6)
     h = np.zeros(6, dtype=complex)
@@ -73,6 +87,14 @@ def test_hermitian_eigs_dense_path(rng):
     assert np.all(np.diff(sys.values) <= 0)
     res = mat @ v - v * sys.values
     assert np.max(np.abs(res)) < 1e-9 * sys.values[0]
+
+
+def test_hermitian_eigs_dense_matrix_takes_no_k(rng):
+    a = rng.standard_normal((8, 8))
+    with pytest.raises(InputError):
+        hermitian_eigs(a @ a.T, k=2)
+    with pytest.raises(InputError):
+        hermitian_eigs(square_operator(rng.standard_normal(8)))
 
 
 @pytest.mark.parametrize("coeffs_of", [lambda u: u.coeffs, shifted_coeffs],
