@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import InputError, NotAnalyticError
 
@@ -51,7 +52,8 @@ class Poly:
 
     Normalized on construction: trailing near-zero coefficients (relative
     threshold 1e-12) are removed, so ``coeffs[-1]`` is significant and the
-    zero polynomial has an empty coefficient array and degree -1.
+    zero polynomial has an empty coefficient array and degree -1.  The one
+    exception is ``conj_reflect``, which drops only exact zeros.
     """
 
     coeffs: np.ndarray
@@ -133,10 +135,20 @@ def conj_reflect(p: Poly, d: int) -> Poly:
     Returns D with D(z) = z**d * conj(p)(1/z): coefficient k of D equals
     the conjugate of coefficient d-k of p.  For a monic Schur polynomial
     this is the normalized denominator of the associated Blaschke product.
+
+    The top coefficient conj(p(0)) is kept however small it is (only an
+    exact zero goes), so reflecting twice at the same d gives p back; the
+    relative trim of ``Poly`` would drop it below 1e-12 of the largest.
     """
     if p.degree > d:
         raise InputError(f"conj_reflect: degree {p.degree} exceeds bound {d}")
-    return Poly(np.conj(p.padded(d + 1))[::-1])
+    c = np.conj(p.padded(d + 1))[::-1]
+    nonzero = np.flatnonzero(c)
+    c = c[: nonzero[-1] + 1] if nonzero.size else c[:0]
+    c.flags.writeable = False
+    out = object.__new__(Poly)
+    object.__setattr__(out, "coeffs", c)
+    return out
 
 
 def root_free_on_closed_disc(p: Poly, margin: float = 0.0) -> bool:
@@ -195,17 +207,20 @@ class RationalFunction:
         return self.num(z) / self.den(z)
 
     def taylor(self, n: int) -> np.ndarray:
-        """First n Taylor coefficients at 0 via the standard recurrence."""
-        a = self.num.padded(n)
-        b = self.den.padded(n)
-        c = np.zeros(n, dtype=complex)
-        for k in range(n):
-            acc = a[k]
-            upper = min(k, self.den.degree)
-            if upper >= 1:
-                acc -= np.dot(b[1: upper + 1], c[k - upper: k][::-1])
-            c[k] = acc
-        return c
+        """First n Taylor coefficients at 0.
+
+        They solve den * c = num modulo z**n, a unit lower-triangular band
+        Toeplitz system (den(0) = 1).  LAPACK's banded forward substitution
+        (ztbtrs, no pivoting) runs the standard coefficient recurrence.
+        """
+        c = np.zeros((n, 1), dtype=complex)
+        m = min(n, self.num.coeffs.size)
+        c[:m, 0] = self.num.coeffs[:m]
+        d = min(self.den.degree, n - 1)
+        if d >= 1:
+            band = np.repeat(self.den.coeffs[: d + 1, None], n, axis=1)
+            c, _ = ztbtrs(band, c, uplo="L", diag="U", overwrite_b=True)
+        return c[:, 0]
 
     @staticmethod
     def from_coeff_lists(num, den, check_coprime: bool = True) -> "RationalFunction":

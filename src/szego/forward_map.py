@@ -23,9 +23,9 @@ from .algebra import conj_reflect, fit_rational_samples, grid_transform, next_po
 from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (DENSE_EIG_MAX, Symbol, apply_H, apply_K, build_pair,
-                     check_shifted_square, dense_hankel, hermitian_eigs,
-                     shifted_coeffs, square_operator)
+from .hankel import (DENSE_EIG_MAX, Symbol, _check_ku2, apply_H, apply_K,
+                     build_pair, check_shifted_square, dense_hankel,
+                     hermitian_eigs, shifted_coeffs, square_operator)
 
 DEFAULT_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -187,6 +187,7 @@ def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
     if n <= DENSE_EIG_MAX:
         pair = build_pair(u)
         es_h = hermitian_eigs(pair.h2)
+        _check_ku2(pair.ku2_residual, es_h.values[0])
         es_k = hermitian_eigs(pair.k2)
     else:
         if u.rational is not None:

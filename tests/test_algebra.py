@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szego.algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
@@ -66,6 +66,7 @@ def test_conj_reflect_hand_value():
 @given(st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                                    allow_infinity=False),
                 min_size=1, max_size=6))
+@example([1e-12 + 1e-12j, 2.0])
 @settings(max_examples=50, deadline=None)
 def test_conj_reflect_is_an_involution(coeffs):
     p = Poly(np.array(coeffs, dtype=complex))
@@ -95,6 +96,30 @@ def test_rational_taylor_geometric():
     assert np.allclose(rf.taylor(8), 0.5 ** np.arange(8))
     z = 0.2 + 0.1j
     assert abs(rf(z) - 1.0 / (1.0 - 0.5 * z)) < 1e-14
+
+
+def test_rational_taylor_matches_the_recurrence(rng):
+    for _ in range(20):
+        roots = (1.05 + 2 * rng.random(3)) * np.exp(2j * np.pi * rng.random(3))
+        den = np.poly(roots)[::-1]
+        num = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        rf = RationalFunction(Poly(num), Poly(den / den[0]), check_coprime=False)
+        n = int(rng.integers(1, 300))
+        a, b = rf.num.padded(n + 5)[:n], rf.den.padded(n + 5)
+        c = np.zeros(n, dtype=complex)
+        for k in range(n):
+            c[k] = a[k] - np.dot(b[1: k + 1][:3], c[:k][::-1][:3])
+        got = rf.taylor(n)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - c)) <= 1e-13 * np.max(np.abs(c))
+
+
+def test_rational_taylor_shorter_than_numerator_or_denominator():
+    rf = RationalFunction(Poly([1.0]), Poly([1.0, -0.5]))
+    assert np.array_equal(rf.taylor(1), [1.0])
+    wide = RationalFunction(Poly([1.0, 2.0, 3.0]), Poly([1.0, -0.5]))
+    assert np.allclose(wide.taylor(2), [1.0, 2.5])
+    assert rf.taylor(0).size == 0
 
 
 def test_rational_rejects_pole_inside_disc():

@@ -150,3 +150,16 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal alone adds tens of MiB and over a second to the import
+    src = str(Path(szego.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, szego; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.signal')))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,11 +4,12 @@ import scipy.linalg
 
 from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError
-from szego.hankel import (Symbol, apply_H, apply_K, build_pair,
-                          check_shifted_square, dense_hankel, dense_square,
-                          hankel_matvec, hankel_section, hermitian_eigs,
-                          resize_symbol, shift_symbol, shifted_coeffs,
-                          square_operator)
+from szego import forward_map
+from szego.hankel import (HankelPair, Symbol, _validate_eigs, apply_H, apply_K,
+                          build_pair, check_shifted_square, dense_hankel,
+                          dense_square, hankel_matvec, hankel_section,
+                          hermitian_eigs, resize_symbol, shift_symbol,
+                          shifted_coeffs, square_operator)
 
 
 def test_dense_hankel_hand_values(hand_symbol):
@@ -89,6 +90,61 @@ def test_hermitian_eigs_dense_path(rng):
     assert np.max(np.abs(res)) < 1e-9 * sys.values[0]
 
 
+def _hermitian_with_spectrum(rng, values):
+    n = values.size
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (q * values) @ q.conj().T, q
+
+
+# N = 130 spans three 64-column check blocks: the faults sit past the first
+
+
+def test_validate_eigs_catches_a_wrong_pair_past_the_first_block(rng):
+    values = np.linspace(2.0, 1.0, 130)
+    a, q = _hermitian_with_spectrum(rng, values)
+    apply_a = lambda x: a @ x
+    _validate_eigs(apply_a, values, q, 2.0)
+    wrong = values.copy()
+    wrong[100] += 1e-6
+    with pytest.raises(ConsistencyError, match="eigen residual"):
+        _validate_eigs(apply_a, wrong, q, 2.0)
+
+
+def test_validate_eigs_catches_columns_not_orthogonal_across_blocks(rng):
+    values = np.linspace(2.0, 1.0, 130)
+    values[129] = values[70]
+    a, q = _hermitian_with_spectrum(rng, values)
+    # still an eigenvector for the shared value, but no longer orthogonal to q[:, 70]
+    bent = q.copy()
+    bent[:, 129] = (q[:, 70] + q[:, 129]) / np.sqrt(2.0)
+    with pytest.raises(ConsistencyError, match="orthonormality"):
+        _validate_eigs(lambda x: a @ x, values, bent, 2.0)
+
+
+@pytest.mark.parametrize("entry", [(129, 0), (129, 70)], ids=["129-0", "129-70"])
+def test_hermitian_eigs_sees_asymmetry_in_the_last_block(rng, entry):
+    a, _ = _hermitian_with_spectrum(rng, np.linspace(2.0, 1.0, 130))
+    assert hermitian_eigs(a).values.size == 130
+    a[entry] += 1e-6
+    with pytest.raises(InputError, match="not Hermitian"):
+        hermitian_eigs(a)
+
+
+def test_forward_checks_the_shifted_square_identity(monkeypatch, rank_one_symbol):
+    # a k2 of another symbol, with its honest residual: the check after the
+    # eigensolve of h2 must reject it
+    def mismatched(u):
+        pair = build_pair(u)
+        k2 = build_pair(Symbol(2.0 * u.coeffs)).k2
+        residual = np.linalg.norm(k2 - pair.h2 + np.outer(u.coeffs, np.conj(u.coeffs)))
+        return HankelPair(u, pair.h2, k2, float(residual))
+
+    forward_map.forward(rank_one_symbol)
+    monkeypatch.setattr(forward_map, "build_pair", mismatched)
+    with pytest.raises(ConsistencyError, match="shifted-square identity"):
+        forward_map.forward(rank_one_symbol)
+
+
 def test_hermitian_eigs_dense_matrix_takes_no_k(rng):
     a = rng.standard_normal((8, 8))
     with pytest.raises(InputError):
@@ -146,6 +202,13 @@ def test_resize_symbol_truncation_drops_rational(rank_one_symbol):
     assert small.n_modes == 3
     assert small.rational is None
     assert np.allclose(small.coeffs, [0.75, 0.375, 0.1875])
+
+
+def test_shift_symbol_of_a_two_mode_rational_symbol():
+    rf = RationalFunction(Poly([1.0]), Poly([1.0, -0.5]))
+    shifted = shift_symbol(Symbol.from_rational(rf, n_modes=2))
+    assert np.allclose(shifted.coeffs, [0.5])
+    assert shifted.rational is not None
 
 
 def test_shift_symbol(hand_symbol):
