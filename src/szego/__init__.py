@@ -26,7 +26,7 @@ from .hankel import (HankelPair, Symbol, apply_H, apply_K, build_pair,
 from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
                           build_cmatrix, collapsed_fourvalue,
                           consistency_report, fourvalue_formula, roundtrip,
-                          spectral_roundtrip, synthesize)
+                          synthesize)
 from .szego_flow import (ConservedRecord, FlowComparison, Trajectory,
                          TravelingWaveReport, compare_flows,
                          conserved_quantities, direct_evolve, exact_evolve,
@@ -58,6 +58,6 @@ __all__ = [
     "kappa_squares", "next_pow2", "perturbation_sanity",
     "polymatrix_det_minors", "ratio_certificate", "real_diagnostics",
     "resize_symbol", "roundtrip", "run_verify", "schmidt_vector",
-    "shift_symbol", "spectral_roundtrip", "synthesize", "szego_rhs",
+    "shift_symbol", "synthesize", "szego_rhs",
     "tau_squares", "traveling_wave",
 ]

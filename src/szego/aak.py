@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (RationalFunction, conj_reflect, fit_rational_samples,
-                      next_pow2, trim_coeffs)
+                      next_pow2)
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
-from .forward_map import MultiplicityCluster
+from .forward_map import MultiplicityCluster, fit_circle_ratio
 from .hankel import (TRUNCATION_CAP, Symbol, apply_H, dense_square,
                      exact_section, hermitian_eigs, resize_symbol)
 
@@ -30,6 +30,7 @@ TAIL_REL = 1e-8
 TIGHT_TAIL_REL = 1e-14
 GRID_FACTOR = 8
 RATIO_SAMPLES = 3
+PERTURBATION_SCALE = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,14 +227,16 @@ class RatioSample:
 
 def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
                       rng=None) -> tuple:
-    """Certify that s h / H_u(h) is a Blaschke product on a cluster.
+    """Certify that s h / H_u(h) has the form of an inner ratio on a cluster.
 
     For three random unit combinations h of the cluster basis the pointwise
-    ratio s h(z) / (H_u h)(z) is fitted with numerator and denominator
-    degree m - 1 (m the cluster dimension).  The fit must reproduce the
-    samples, be unimodular on the circle, and have denominator
-    proportional to the conjugate reflection of its numerator; any
-    failure raises NotInnerError.
+    ratio s h(z) / (H_u h)(z) is fitted by ``fit_circle_ratio`` with
+    numerator and denominator degree m - 1 (m the cluster dimension),
+    which raises FitError when the fit misses the samples.  The samples
+    must be unimodular and the fit's denominator proportional to the
+    conjugate reflection of its numerator, else NotInnerError.  The
+    numerator need not be Schur: for a random direction the ratio is
+    unimodular but in general not inner.
     """
     if cluster.kind != "H":
         raise InputError("ratio certificate applies to plain-square clusters")
@@ -241,36 +244,18 @@ def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
         raise InputError("ratio certificate needs a positive spectral value")
     rng = np.random.default_rng(7) if rng is None else rng
     m_dim = cluster.dim
-    d = m_dim - 1
-    # the grid must cover the coefficient vectors: np.fft.ifft crops its
-    # input to the grid size, which would silently truncate h
-    grid = next_pow2(max(8 * m_dim, 2 * u.n_modes, 32))
-    z = np.exp(2j * np.pi * np.arange(grid) / grid)
     samples = []
     for i in range(RATIO_SAMPLES):
         w = rng.standard_normal(m_dim) + 1j * rng.standard_normal(m_dim)
         h = cluster.basis @ (w / np.linalg.norm(w))
-        f = apply_H(u, h)
-        hv = grid * np.fft.ifft(h, grid)
-        fv = grid * np.fft.ifft(f, grid)
-        good = np.abs(fv) > 1e-8 * np.max(np.abs(fv))
-        if int(good.sum()) < 2 * d + 1:
-            raise NumericalError("too few usable circle points for the ratio fit")
-        ratio = cluster.s * hv[good] / fv[good]
-        num, den, res = fit_rational_samples(z[good], ratio, d, d)
-        scale = float(np.max(np.abs(ratio)))
-        if not np.isfinite(res) or res > 1e-6 * scale:
-            raise NotInnerError(
-                f"sample {i}: ratio fit residual {res:.3e} exceeds 1e-6 * {scale:.3e}")
+        num, den, res, ratio = fit_circle_ratio(cluster.s * h, apply_H(u, h),
+                                                m_dim - 1)
         uni = float(np.max(np.abs(np.abs(ratio) - 1.0)))
         if uni > 1e-6:
             raise NotInnerError(
                 f"sample {i}: ratio is off the unit circle by {uni:.3e}")
-        nc = trim_coeffs(num.coeffs)
-        dc = trim_coeffs(den.coeffs)
-        deg = max(nc.size, dc.size) - 1
-        refl = conj_reflect(num, deg).coeffs
-        refl = np.concatenate([refl, np.zeros(deg + 1 - refl.size)])
+        deg = max(num.degree, den.degree)
+        refl = conj_reflect(num, deg).padded(deg + 1)
         dpad = den.padded(deg + 1)
         denom = np.vdot(refl, refl)
         c = np.vdot(refl, dpad) / denom if abs(denom) > 0 else 0.0
@@ -285,11 +270,11 @@ def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
 
 
 def perturbation_sanity(result: AAKResult, n_samples: int = 200,
-                        scale: float = 1e-3, rng=None) -> float:
+                        rng=None) -> float:
     """Check that random nearby rank-k symbols approximate no better.
 
     The approximation r is refitted as a rational function of degree
-    (k - 1, k); its coefficients are jittered (denominators kept
+    (k - 1, k); its coefficients are jittered by 1e-3 (denominators kept
     root-free outside the disc), and the smallest Hankel distance from u
     over all perturbed symbols comes back.  A value below s_k would
     contradict optimality.
@@ -312,9 +297,11 @@ def perturbation_sanity(result: AAKResult, n_samples: int = 200,
     dpad = den.padded(k + 1)
     nscale = max(float(np.max(np.abs(npad))), 1e-300)
     for _ in range(n_samples):
-        dn = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale * nscale
+        dn = ((rng.standard_normal(k) + 1j * rng.standard_normal(k))
+              * PERTURBATION_SCALE * nscale)
         dd = np.zeros(k + 1, dtype=complex)
-        dd[1:] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
+        dd[1:] = ((rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                  * PERTURBATION_SCALE)
         try:
             pert = RationalFunction.from_coeff_lists(npad + dn, dpad + dd,
                                                      check_coprime=False)

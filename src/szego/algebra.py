@@ -9,7 +9,7 @@ ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -19,8 +19,6 @@ from .errors import InputError, NotAnalyticError
 
 TRIM_REL = 1e-12
 COPRIME_TOL = 1e-10
-ROOT_FREE_GRID_FACTOR = 16
-ROOT_FREE_GRID_MIN = 1e-8
 COMPANION_MAX_DEGREE = 64
 
 
@@ -96,16 +94,6 @@ class Poly:
     def _c(self) -> np.ndarray:
         return self.coeffs if self.coeffs.size else np.zeros(1, dtype=complex)
 
-    def shifted(self, k: int) -> "Poly":
-        """Multiply by z**k."""
-        if not self:
-            return self
-        return Poly(np.concatenate([np.zeros(k, dtype=complex), self.coeffs]))
-
-    def conj_coeffs(self) -> "Poly":
-        """Coefficient-wise conjugate (the polynomial conj(P)(z))."""
-        return Poly(np.conj(self._c()))
-
     def padded(self, length: int) -> np.ndarray:
         out = np.zeros(length, dtype=complex)
         out[: self.coeffs.size] = self.coeffs
@@ -151,19 +139,41 @@ def conj_reflect(p: Poly, d: int) -> Poly:
     return out
 
 
+def is_schur(a) -> bool:
+    """Decide whether z**d + a[0]*z**(d-1) + ... + a[d-1] has all roots in |z| < 1.
+
+    a lists the non-leading coefficients from degree d-1 down to degree 0.
+    Empty a (a constant polynomial) counts as Schur.  The Schur-Cohn step
+
+        b_k = (a_k - a_d * conj(a_{d-k})) / (1 - |a_d|**2)
+
+    maps degree-d Schur coefficient vectors onto degree-(d-1) ones.
+    """
+    a = np.asarray(a, dtype=complex)
+    while a.size:
+        last = a[-1]
+        if abs(last) >= 1.0:
+            return False
+        head = a[:-1]
+        a = (head - last * np.conj(head[::-1])) / (1.0 - abs(last) ** 2)
+    return True
+
+
 def root_free_on_closed_disc(p: Poly, margin: float = 0.0) -> bool:
     """True if p has no root of modulus <= 1 + margin.
 
-    Companion-matrix roots for degree <= 64; above that a cheap guard,
-    min |p| over a 16*degree circle grid, must exceed 1e-8.
+    Companion-matrix roots for degree <= 64.  Above that the Schur-Cohn
+    recursion counts the roots inside the disc: p((1 + margin) z) is root
+    free there exactly when its reversal z**d p((1 + margin)/z) is Schur.
     """
     if p.degree < 1:
         return bool(p)
     if p.degree <= COMPANION_MAX_DEGREE:
         return bool(np.min(np.abs(p.roots())) > 1.0 + margin)
-    m = next_pow2(ROOT_FREE_GRID_FACTOR * p.degree)
-    vals = grid_transform(p, m).samples
-    return bool(np.min(np.abs(vals)) > ROOT_FREE_GRID_MIN)
+    c = p.coeffs * (1.0 + margin) ** np.arange(p.coeffs.size)
+    if c[0] == 0.0:
+        return False
+    return is_schur(c[1:] / c[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +189,8 @@ class RationalFunction:
 
     num: Poly
     den: Poly
-    residual: float | None = field(default=None, compare=False)
 
-    def __init__(self, num: Poly, den: Poly, residual: float | None = None,
-                 check_coprime: bool = True):
+    def __init__(self, num: Poly, den: Poly, check_coprime: bool = True):
         if not den:
             raise NotAnalyticError("denominator is identically zero")
         d0 = den.coeffs[0] if den.coeffs.size else 0.0
@@ -201,7 +209,6 @@ class RationalFunction:
                     raise InputError("numerator and denominator share a root")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "residual", residual)
 
     def __call__(self, z):
         return self.num(z) / self.den(z)
@@ -244,9 +251,6 @@ class CircleGrid:
         s.flags.writeable = False
         object.__setattr__(self, "size", m)
         object.__setattr__(self, "samples", s)
-
-    def points(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.size) / self.size)
 
 
 def grid_transform(p: Poly | np.ndarray, m: int) -> CircleGrid:

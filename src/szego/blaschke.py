@@ -7,11 +7,7 @@ the circle is
     Psi(z) = exp(-i*angle) * P(z) / D(z),      D = conj_reflect(P, deg P),
 
 which has modulus one for |z| = 1.  Membership of P in the Schur class is
-decided by the coefficient recursion
-
-    b_k = (a_k - a_d * conj(a_{d-k})) / (1 - |a_d|**2),
-
-which maps degree-d Schur coefficient vectors onto degree-(d-1) ones.
+decided by the Schur-Cohn coefficient recursion of ``algebra.is_schur``.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import Poly, conj_reflect
+from .algebra import Poly, conj_reflect, is_schur
 from .errors import InputError, NumericalError
 
 TWO_PI = 2.0 * math.pi
@@ -36,22 +32,6 @@ def normalize_angle(psi: float) -> float:
     if psi >= TWO_PI - 1e-15:
         psi = 0.0
     return psi
-
-
-def is_schur(a) -> bool:
-    """Decide whether z**d + a[0]*z**(d-1) + ... + a[d-1] has all roots in |z| < 1.
-
-    a lists the non-leading coefficients from degree d-1 down to degree 0.
-    Empty a (a constant polynomial) counts as Schur.
-    """
-    a = np.asarray(a, dtype=complex)
-    while a.size:
-        last = a[-1]
-        if abs(last) >= 1.0:
-            return False
-        head = a[:-1]
-        a = (head - last * np.conj(head[::-1])) / (1.0 - abs(last) ** 2)
-    return True
 
 
 def is_schur_poly(p: Poly) -> bool:

@@ -34,6 +34,7 @@ REAL_ZERO_FLOOR_REL = 1e-8
 AMBIGUOUS_GAP_FACTOR = 3.0
 RATIO_FIT_TOL = 1e-6
 UNIMODULAR_TOL = 1e-6
+REAL_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,6 @@ class MultiplicityCluster:
     value: float            # mean eigenvalue of the square
     s: float                # its square root
     dim: int
-    indices: tuple
     basis: np.ndarray       # orthonormal columns spanning the cluster
     projection_of_u: np.ndarray
     projection_norm: float
@@ -165,7 +165,7 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
         pnorm = float(np.linalg.norm(proj))
         clusters.append(MultiplicityCluster(
             value=value, s=float(np.sqrt(max(value, 0.0))), dim=len(idx),
-            indices=tuple(idx), basis=basis, projection_of_u=proj,
+            basis=basis, projection_of_u=proj,
             projection_norm=pnorm, member=pnorm > MEMBERSHIP_REL * norm_u,
             kind=kind, is_zero=is_zero))
     return clusters
@@ -179,8 +179,7 @@ def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
     a non-rational symbol) by Lanczos.  Cross-checks: an essential value
     on both sides, or a matched pair of clusters whose dimensions do not
     differ by exactly one, is a structural contradiction and raises.
-    Returns (clusters_h, clusters_k, zero_in_shifted,
-    shifted_kernel_projection).
+    Returns (clusters_h, clusters_k, zero_in_shifted).
     """
     norm_u = u.l2_norm
     n = u.n_modes
@@ -246,27 +245,26 @@ def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    res_k = u.coeffs - sum(c.projection_of_u for c in pos_k if c.member)
     if rank_h not in (rank_k, rank_k + 1):
         raise SpectralInconsistencyError(
             f"plain rank {rank_h} vs shifted rank {rank_k}: "
             "must be equal or differ by one")
     zero_in_shifted = rank_h == rank_k + 1
-    return clusters_h, clusters_k, zero_in_shifted, res_k
+    return clusters_h, clusters_k, zero_in_shifted
 
 
-def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
-                     m: int) -> BlaschkeProduct:
-    """Fit the pointwise ratio num(z)/den(z) on the circle as an inner factor.
+def fit_circle_ratio(num_vec: np.ndarray, den_vec: np.ndarray, d: int):
+    """Fit the pointwise ratio num(z)/den(z) on the circle with degrees (d, d).
 
-    The ratio of an essential cluster has an exact representation
-    exp(-i*psi) * P(z)/D(z) with P monic Schur of degree exactly m - 1 and
-    D its reflection.  Grid points where the denominator nearly vanishes
-    (both functions share those zeros) are masked out of the fit.
+    Both coefficient vectors are sampled on a grid of at least 8 (d + 1)
+    roots of unity.  Grid points where the denominator nearly vanishes
+    (an inner ratio's two sides share those zeros) are masked out; a grid
+    with fewer than 4 d + 3 usable points is refined once by a factor 4.
+    Returns (num, den, residual, ratio samples); raises FitError when the
+    fit misses the samples by more than 1e-6 of their largest modulus.
     """
-    d = m - 1
     size = next_pow2(max(8 * (d + 1), 32))
-    for attempt in range(2):
+    for _ in range(2):
         nv = grid_transform(np.asarray(num_vec, dtype=complex), size).samples
         dv = grid_transform(np.asarray(den_vec, dtype=complex), size).samples
         points = np.exp(2j * np.pi * np.arange(size) / size)
@@ -283,7 +281,20 @@ def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
     num, den, residual = fit_rational_samples(points[good], ratio, d, d)
     if (not np.isfinite(residual)
             or residual > RATIO_FIT_TOL * float(np.max(np.abs(ratio)))):
-        raise FitError(f"inner-factor fit residual {residual:.3e} above tolerance")
+        raise FitError(f"ratio fit residual {residual:.3e} above tolerance")
+    return num, den, residual, ratio
+
+
+def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
+                     m: int) -> BlaschkeProduct:
+    """Fit the pointwise ratio num(z)/den(z) on the circle as an inner factor.
+
+    The ratio of an essential cluster has an exact representation
+    exp(-i*psi) * P(z)/D(z) with P monic Schur of degree exactly m - 1 and
+    D its reflection.
+    """
+    d = m - 1
+    num, den, _, _ = fit_circle_ratio(num_vec, den_vec, d)
     if num.degree != d:
         raise DegreeMismatchError(
             f"fitted inner factor has degree {num.degree}, expected {d}")
@@ -315,7 +326,6 @@ class ForwardDetails:
     clusters_h: list
     clusters_k: list
     essential: list        # MultiplicityCluster per stored singular value
-    kernel_projection: np.ndarray
     zero_in_shifted: bool
 
 
@@ -328,8 +338,7 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
-    clusters_h, clusters_k, zero_in_shifted, kernel_proj = sigma_membership(
-        u, rel_tol)
+    clusters_h, clusters_k, zero_in_shifted = sigma_membership(u, rel_tol)
     ess_h = [c for c in clusters_h if c.member and not c.is_zero]
     ess_k = [c for c in clusters_k if c.member and not c.is_zero]
     if zero_in_shifted:
@@ -360,7 +369,7 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
     data = SpectralData(values, tuple(psi))
     if details:
         return data, ForwardDetails(clusters_h, clusters_k, merged,
-                                    kernel_proj, zero_in_shifted)
+                                    zero_in_shifted)
     return data
 
 
@@ -385,7 +394,7 @@ def _signed_eigs(matrix: np.ndarray) -> np.ndarray:
     return vals[np.argsort(np.abs(vals))[::-1]]
 
 
-def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
+def real_diagnostics(u: Symbol) -> RealDiagnostics:
     """Run the self-adjoint structure checks on a real-coefficient symbol.
 
     The plain matrix is real symmetric, so its signed eigenvalues lambda_j
@@ -393,7 +402,7 @@ def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
     |lambda_1| >= |mu_1| >= |lambda_2| >= ..., for each modulus the counts
     of positive and negative entries differ by at most one, maximal runs of
     equal interleaved moduli have odd length, and every fitted angle is 0
-    or pi.
+    or pi, all to a tolerance of 1e-6 (of the top modulus for the moduli).
     """
     if np.max(np.abs(u.coeffs.imag)) > 1e-12 * max(u.l2_norm, 1e-300):
         raise InputError("real diagnostics require real coefficients")
@@ -412,7 +421,7 @@ def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
         if i < mus.size:
             interleaved.append(abs(mus[i]))
     interleaved = np.array(interleaved)
-    slack = tol * max(top, 1e-300)
+    slack = REAL_TOL * max(top, 1e-300)
     interlace_ok = bool(np.all(np.diff(interleaved) <= slack))
     if not interlace_ok:
         failures.append("moduli interlacing")
@@ -448,7 +457,7 @@ def real_diagnostics(u: Symbol, tol: float = 1e-6) -> RealDiagnostics:
     angles = data.angles()
     dist = np.minimum(np.minimum(np.abs(angles), np.abs(angles - np.pi)),
                       np.abs(angles - 2 * np.pi))
-    angles_ok = bool(np.max(dist) <= tol) if angles.size else True
+    angles_ok = bool(np.max(dist) <= REAL_TOL) if angles.size else True
     if not angles_ok:
         failures.append("angles in {0, pi}")
 

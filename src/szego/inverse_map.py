@@ -20,14 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bateman
-from .algebra import (Poly, RationalFunction, grid_transform, next_pow2,
-                      polymatrix_det_minors)
+from .algebra import (COMPANION_MAX_DEGREE, Poly, RationalFunction,
+                      grid_transform, next_pow2, polymatrix_det_minors,
+                      root_free_on_closed_disc)
 from .blaschke import BlaschkeProduct
 from .errors import HypothesisViolationError, InputError
 from .forward_map import SpectralData, forward
 from .hankel import Symbol
 
 ROOT_MARGIN = 1e-10
+CONSISTENCY_POINTS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +109,7 @@ class SynthesisResult:
     u: Symbol
     rational: RationalFunction
     q_poly: Poly                  # determinant, normalized to Q(0) = 1
+    # Eigenspace components, each stored as its numerator over q_poly:
     h: tuple                      # h_j = D_{2j-1} R_{2j-1}
     u_parts: tuple                # u_j = phase_j P_{2j-1} R_{2j-1}
     u_prime_parts: tuple          # u'_k = D_{2k} R_{2k}
@@ -147,17 +150,14 @@ def synthesize(data: SpectralData) -> SynthesisResult:
 
     min_root = None
     if det.degree >= 1:
-        if det.degree <= 64:
+        if det.degree <= COMPANION_MAX_DEGREE:
             min_root = float(np.min(np.abs(det.roots())))
             if min_root <= 1.0 + ROOT_MARGIN:
                 raise HypothesisViolationError(
                     f"determinant root at modulus {min_root:.12f}")
-        else:
-            m = next_pow2(16 * det.degree)
-            vals = grid_transform(det, m).samples
-            if float(np.min(np.abs(vals))) <= 1e-8 * top:
-                raise HypothesisViolationError(
-                    "determinant nearly vanishes on the unit circle")
+        elif not root_free_on_closed_disc(det, ROOT_MARGIN):
+            raise HypothesisViolationError(
+                f"determinant has a root of modulus <= 1 + {ROOT_MARGIN:g}")
 
     grid_m = next_pow2(2 * n_deg + 2)
     det_vals = grid_transform(det, grid_m).samples
@@ -192,13 +192,10 @@ def synthesize(data: SpectralData) -> SynthesisResult:
     inv0 = 1.0 / det0
     q_norm = det * inv0
     u_rf = RationalFunction(u_num * inv0, q_norm, check_coprime=False)
-    h = tuple(RationalFunction(cm.psi_odd[j].d * r_odd_num[j] * inv0, q_norm,
-                               check_coprime=False) for j in range(q))
-    u_parts = tuple(RationalFunction(phases[j] * (cm.psi_odd[j].p * r_odd_num[j]) * inv0,
-                                     q_norm, check_coprime=False) for j in range(q))
-    u_prime_parts = tuple(RationalFunction(cm.psi_even[k].d * r_even_num[k] * inv0,
-                                           q_norm, check_coprime=False)
-                          for k in range(q))
+    h = tuple(cm.psi_odd[j].d * r_odd_num[j] * inv0 for j in range(q))
+    u_parts = tuple(phases[j] * (cm.psi_odd[j].p * r_odd_num[j]) * inv0
+                    for j in range(q))
+    u_prime_parts = tuple(cm.psi_even[k].d * r_even_num[k] * inv0 for k in range(q))
     u_sym = Symbol.from_rational(u_rf)
     return SynthesisResult(data, u_sym, u_rf, q_norm, h, u_parts, u_prime_parts,
                            n_deg, gap, min_root, condition, det0)
@@ -218,17 +215,19 @@ class ConsistencyReport:
                    self.decomposition_gap)
 
 
-def consistency_report(result: SynthesisResult, n_points: int = 16) -> ConsistencyReport:
+def consistency_report(result: SynthesisResult) -> ConsistencyReport:
     """Check the defining linear system and the coupling identity pointwise.
 
-    At n_points circle points: the matrix of uncleared entries applied to
-    the component vector (h_j) must give the all-ones vector, and each
+    At 16 circle points: the matrix of uncleared entries applied to the
+    component vector (h_j) must give the all-ones vector, and each
     shifted component u'_k must equal
     sum_j kappa_k**2 / (rho_j**2 - sigma_k**2) * u_j.
     """
     cm = build_cmatrix(result.data)
-    z = np.exp(2j * np.pi * (np.arange(n_points) + 0.31) / n_points)
-    h_vals = np.array([comp(z) for comp in result.h])
+    z = np.exp(2j * np.pi * (np.arange(CONSISTENCY_POINTS) + 0.31)
+               / CONSISTENCY_POINTS)
+    q_vals = result.q_poly(z)
+    h_vals = np.array([comp(z) for comp in result.h]) / q_vals
     ch = 0.0
     for k in range(cm.q):
         row = np.zeros_like(z)
@@ -238,12 +237,12 @@ def consistency_report(result: SynthesisResult, n_points: int = 16) -> Consisten
 
     v = bateman.InterlacedValues(cm.rho, cm.sigma)
     kappa2 = bateman.kappa_squares(v)
-    u_vals = np.array([comp(z) for comp in result.u_parts])
+    u_vals = np.array([comp(z) for comp in result.u_parts]) / q_vals
     coupling = 0.0
     for k in range(cm.q):
         weights = kappa2[k] / (cm.rho ** 2 - cm.sigma[k] ** 2)
         recon = weights @ u_vals
-        direct = result.u_prime_parts[k](z)
+        direct = result.u_prime_parts[k](z) / q_vals
         coupling = max(coupling, float(np.max(np.abs(direct - recon))))
     return ConsistencyReport(ch, coupling, result.two_decomposition_gap)
 
@@ -331,11 +330,3 @@ def roundtrip(u: Symbol, rel_tol: float = 1e-6) -> RoundtripReport:
     back = forward(result.u, rel_tol=rel_tol)
     s_rel, ang, pco = compare_spectral(back, data)
     return RoundtripReport(coeff, coeff / max(u.l2_norm, 1e-300), s_rel, ang, pco)
-
-
-def spectral_roundtrip(data: SpectralData, rel_tol: float = 1e-6) -> RoundtripReport:
-    """Measure the data -> symbol -> data round trip."""
-    result = synthesize(data)
-    got = forward(result.u, rel_tol=rel_tol)
-    s_rel, ang, pco = compare_spectral(got, data)
-    return RoundtripReport(0.0, 0.0, s_rel, ang, pco)

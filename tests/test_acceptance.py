@@ -1,26 +1,26 @@
 """Acceptance gate: one test (and one pass/fail line under pytest -v) per criterion.
 
 Each criterion pins its own tolerances; nothing here is shared state, so a
-failure localizes to exactly one numbered property.
+failure localizes to exactly one numbered property.  Criteria 1, 4 and 9
+run the `szego verify` suite that defines their property on the same
+seeded draws, and pin the suite's thresholds.
 """
 
 import time
 
 import numpy as np
-import scipy.linalg
 
+from szego import forward_map, verify
 from szego.aak import best_approx
 from szego.algebra import Poly, RationalFunction
-from szego.bateman import (InterlacedValues, identity_residuals, j_of_x,
-                           kappa_squares, tau_squares)
+from szego.bateman import j_of_x
 from szego.blaschke import from_zeros
-from szego.forward_map import SpectralData, forward, real_diagnostics
+from szego.forward_map import SpectralData, forward
 from szego.hankel import (Symbol, dense_hankel, hankel_matvec, resize_symbol)
-from szego.inverse_map import compare_spectral, synthesize
+from szego.inverse_map import synthesize
 from szego.szego_flow import (compare_flows, direct_evolve,
                               energy_from_values, traveling_wave)
-from szego.verify import (random_interlaced, random_low_rank,
-                          random_real_symbol, random_spectral_data)
+from szego.verify import random_low_rank, random_spectral_data
 
 HAND = Symbol(np.array([3.0, 2.0], dtype=complex))
 RANK_ONE = RationalFunction(Poly([0.75]), Poly([1.0, -0.5]))
@@ -32,20 +32,23 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_roundtrip_bijection():
-    rng = np.random.default_rng(1)
+def report_suite(num, suite, seed, count, pinned, time_limit=np.inf):
+    """Run one verify suite; every one of its count cases must pass."""
     t0 = time.monotonic()
-    worst_s = worst_angle = worst_p = 0.0
-    for _ in range(50):
-        data, result = random_spectral_data(rng, n_max=4, d_max=2)
-        s_rel, angle, p_gap = compare_spectral(forward(result.u), data)
-        worst_s = max(worst_s, s_rel)
-        worst_angle = max(worst_angle, angle)
-        worst_p = max(worst_p, p_gap)
+    cases = verify.run([suite], seed=seed)
     elapsed = time.monotonic() - t0
-    ok = worst_s < 1e-8 and worst_angle < 1e-6 and worst_p < 1e-6 and elapsed < 30.0
-    report(1, ok, f"50 draws: s_rel {worst_s:.2e}, angle {worst_angle:.2e}, "
-                  f"P {worst_p:.2e}, {elapsed:.1f}s")
+    failed = [(c.name, c.detail) for c in cases if not c.passed]
+    ok = pinned and len(cases) == count and not failed and elapsed < time_limit
+    report(num, ok, f"{suite} suite: {len(cases) - len(failed)}/{len(cases)} "
+                    f"pass in {elapsed:.1f}s, thresholds pinned: {pinned}, "
+                    f"failures: {failed!r}")
+
+
+def test_criterion_01_roundtrip_bijection():
+    pinned = (verify.ROUNDTRIP_S_TOL, verify.ROUNDTRIP_ANGLE_TOL,
+              verify.ROUNDTRIP_P_TOL, verify.CONSISTENCY_TOL) \
+        == (1e-8, 1e-6, 1e-6, 1e-9)
+    report_suite(1, "roundtrip", 1, 50, pinned, time_limit=30.0)
 
 
 def test_criterion_02_rank_one_closed_form():
@@ -76,25 +79,8 @@ def test_criterion_03_multiplicity_two():
 
 
 def test_criterion_04_closed_form_identity_suite():
-    v = InterlacedValues(np.array([4.0, 1.0]), np.array([2.0, 0.0]))
-    hand_gap = max(float(np.max(np.abs(tau_squares(v) - [12.8, 0.2]))),
-                   float(np.max(np.abs(kappa_squares(v) - [9.0, 4.0]))))
-
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        w = random_interlaced(rng)
-        worst = max(worst, identity_residuals(w).max_residual)
-        r2, s2, tau2 = w.rho ** 2, w.sigma ** 2, tau_squares(w)
-        for x in (-10.0, -1.0, -0.1, 0.5 / w.rho[0] ** 2):
-            value = j_of_x(w, x)
-            product = float(np.prod((1.0 - x * s2) / (1.0 - x * r2)))
-            partial = 1.0 + x * float(np.sum(tau2 / (1.0 - x * r2)))
-            scale = max(1.0, abs(value))
-            worst = max(worst, abs(value - product) / scale,
-                        abs(value - partial) / scale)
-    report(4, hand_gap < 1e-12 and worst < 1e-10,
-           f"hand gap {hand_gap:.2e}, worst residual over 100 draws {worst:.2e}")
+    pinned = (verify.HAND_TOL, verify.IDENTITY_TOL) == (1e-12, 1e-10)
+    report_suite(4, "bateman", 4, 101, pinned)
 
 
 def test_criterion_05_energy_identity():
@@ -165,13 +151,9 @@ def test_criterion_08_best_rank_one_distance():
 
 
 def test_criterion_09_real_symbol_diagnostics():
-    rng = np.random.default_rng(9)
-    failures = []
-    for i in range(20):
-        rep = real_diagnostics(random_real_symbol(rng))
-        if not rep.passed:
-            failures.append((i, rep.failures))
-    report(9, not failures, f"20 draws, failures: {failures!r}")
+    pinned = (forward_map.REAL_TOL, forward_map.REAL_ZERO_FLOOR_REL) \
+        == (1e-6, 1e-8)
+    report_suite(9, "real", 9, 20, pinned)
 
 
 def test_criterion_10_fast_matvec():

@@ -10,6 +10,14 @@ from szego.algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
 from szego.errors import InputError, NotAnalyticError
 
 
+# 1 - 2z + 1e-3 z**65 has a root near 0.5, while 1 - 0.5z + 1e-3 z**65
+# has none on the closed disc, where |1 - 0.5z| >= 0.5 (Rouche)
+HIGH_DEGREE_ROOT_AT_HALF = np.zeros(66)
+HIGH_DEGREE_ROOT_AT_HALF[[0, 1, 65]] = [1.0, -2.0, 1e-3]
+HIGH_DEGREE_ROOT_FREE = np.zeros(66)
+HIGH_DEGREE_ROOT_FREE[[0, 1, 65]] = [1.0, -0.5, 1e-3]
+
+
 def test_next_pow2():
     assert next_pow2(1) == 1
     assert next_pow2(2) == 2
@@ -89,6 +97,9 @@ def test_root_free_on_closed_disc():
     assert root_free_on_closed_disc(Poly([1.0, -0.5]))          # root at 2
     assert not root_free_on_closed_disc(Poly([1.0, -2.0]))      # root at 0.5
     assert not root_free_on_closed_disc(Poly([1.0, -1.0]), margin=1e-6)
+    # above degree 64 the roots inside the disc are counted
+    assert root_free_on_closed_disc(Poly(HIGH_DEGREE_ROOT_FREE))
+    assert not root_free_on_closed_disc(Poly(HIGH_DEGREE_ROOT_AT_HALF))
 
 
 def test_rational_taylor_geometric():
@@ -125,6 +136,8 @@ def test_rational_taylor_shorter_than_numerator_or_denominator():
 def test_rational_rejects_pole_inside_disc():
     with pytest.raises(NotAnalyticError):
         RationalFunction(Poly([1.0]), Poly([1.0, -2.0]))
+    with pytest.raises(NotAnalyticError):
+        RationalFunction(Poly([1.0]), Poly(HIGH_DEGREE_ROOT_AT_HALF))
 
 
 def test_rational_normalizes_denominator_at_zero():

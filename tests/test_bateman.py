@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from szego.bateman import (InterlacedValues, identity_residuals, j_of_x,
-                           kappa_squares, tau_squares)
+from szego.bateman import InterlacedValues, j_of_x, kappa_squares, tau_squares
 from szego.errors import InputError, NumericalError
 from szego.verify import random_interlaced
-
-
-def test_hand_norm_squares():
-    v = InterlacedValues(np.array([4.0, 1.0]), np.array([2.0, 0.0]))
-    assert np.max(np.abs(tau_squares(v) - [12.8, 0.2])) < 1e-12
-    assert np.max(np.abs(kappa_squares(v) - [9.0, 4.0])) < 1e-12
 
 
 def test_single_pair():
@@ -38,13 +31,6 @@ def test_from_singular_values_odd_appends_zero():
     assert np.allclose(w.rho, [4.0])
     assert np.allclose(w.sigma, [2.0])
     assert not w.sigma_q_zero
-
-
-def test_identity_residuals_on_seeded_draws(rng):
-    for _ in range(20):
-        v = random_interlaced(rng)
-        rep = identity_residuals(v)
-        assert rep.max_residual < 1e-10
 
 
 def test_j_of_x_at_zero_is_one():

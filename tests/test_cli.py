@@ -163,3 +163,21 @@ def test_import_does_not_load_scipy_signal():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm")
+                    or "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
+                    reason="needs glibc and /proc/self/statm")
+def test_import_lets_freed_large_arrays_leave_the_resident_set():
+    # a fresh heap; glibc's own thresholds keep one of the 16 MiB arrays
+    src = str(Path(szego.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import os, numpy as np, szego\n"
+              "rss = lambda: int(open('/proc/self/statm').read().split()[1])\n"
+              "before = rss()\n"
+              "for _ in range(3): a = np.ones(1 << 20, dtype=complex); del a\n"
+              "print((rss() - before) * os.sysconf('SC_PAGE_SIZE') / 2**20)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 4.0

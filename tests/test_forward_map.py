@@ -7,7 +7,6 @@ from szego.errors import InputError
 from szego.forward_map import SpectralData, forward, real_diagnostics
 from szego.hankel import DENSE_EIG_MAX, Symbol, resize_symbol
 from szego.inverse_map import fourvalue_formula
-from szego.verify import random_real_symbol
 
 CIRCLE = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 17)[:-1])
 
@@ -99,12 +98,6 @@ def test_real_diagnostics_signed_fourvalue():
     assert rep.passed, rep.failures
     assert np.allclose(rep.lambdas, [4.0, 1.0], atol=1e-8)
     assert np.allclose(rep.mus, [-2.0, -0.5], atol=1e-8)
-
-
-def test_real_diagnostics_on_random_draws(rng):
-    for _ in range(5):
-        rep = real_diagnostics(random_real_symbol(rng))
-        assert rep.passed, rep.failures
 
 
 def test_forward_matches_fourvalue_spectrum():

@@ -1,7 +1,8 @@
 """Known defects of the forward and inverse maps, pinned as strict xfails.
 
 Every case is valid interlaced spectral data that the paper's bijection
-covers, so each test asserts the correct behavior.  They fail today
+covers, or a real symbol the self-adjoint theory covers, so each test
+asserts the correct behavior.  They fail today
 because clustering works to an absolute tolerance in s**2 (a zero floor
 of 1e-12 s_1**2 and a merge distance of 1e-6 s_1**2), and because the
 determinant of a long geometric spectrum loses the precision its root
@@ -14,9 +15,11 @@ import warnings
 import numpy as np
 import pytest
 
+from szego.algebra import RationalFunction
 from szego.blaschke import BlaschkeProduct
 from szego.errors import HypothesisViolationError, SpectralInconsistencyError
-from szego.forward_map import SpectralData, forward
+from szego.forward_map import SpectralData, forward, real_diagnostics
+from szego.hankel import Symbol
 from szego.inverse_map import synthesize
 
 GEOMETRIC = 10.0 * 0.8 ** np.arange(32)
@@ -59,3 +62,15 @@ def test_long_geometric_spectrum_round_trips():
                    reason="the determinant root certificate loses precision")
 def test_long_geometric_spectrum_synthesizes():
     assert_round_trip(constant_factors(GEOMETRIC, [0.0] * 32))
+
+
+@pytest.mark.xfail(strict=True, raises=SpectralInconsistencyError,
+                   reason="s ~ (1.80, 1.08, 1.73e-3, 5.13e-4): small values "
+                          "merge across the two sides")
+def test_real_symbol_with_wide_dynamic_range_passes_diagnostics():
+    # case #17 of `szego verify --suite real --seed 0`
+    u = Symbol.from_rational(RationalFunction.from_coeff_lists(
+        [1.14314280285523, -0.34137660257731683],
+        [1.0, -0.9004835904443793, 0.17880359836200022], check_coprime=False))
+    rep = real_diagnostics(u)
+    assert rep.passed, rep.failures

@@ -19,3 +19,9 @@ def test_run_reports_a_raising_case_as_failed(monkeypatch):
     assert not cases[0].passed
     assert cases[0].detail.startswith("ZeroDivisionError")
     assert cases[1].passed and cases[1].detail == "ok"
+
+
+def test_builders_give_184_cases_in_suite_order():
+    assert tuple(verify._BUILDERS) == verify.SUITE_NAMES
+    counts = [len(verify._BUILDERS[name](0)) for name in verify.SUITE_NAMES]
+    assert counts == [101, 50, 8, 5, 20]
