@@ -113,15 +113,18 @@ def _certify(u: Symbol, v: np.ndarray, s: float,
     # part v is a polynomial, so the approximation r = u - v shares u's
     # continuation beyond the truncation.  The rank cut still sits above
     # the TAIL_REL mass dropped from the projection and below genuine
-    # singular values of supported data.
+    # singular values of supported data.  With v = 0 (u is its own
+    # approximation) r is u and the distance is 0.0, as the SVD of a zero
+    # section would give, so u's SVD is the only one taken.
     m = n_work
     u2 = resize_symbol(u, 2 * m - 1).coeffs
-    v2 = np.concatenate([v, np.zeros(u2.size - v.size, dtype=complex)])
-    sv_diff = scipy.linalg.svdvals(exact_section(v2, m))
-    op = float(sv_diff[0]) if sv_diff.size else 0.0
-    sv_r = scipy.linalg.svdvals(exact_section(u2 - v2, m))
-    scale = float(scipy.linalg.svdvals(exact_section(u2, m))[0])
-    threshold = RANK_FLOOR_REL * max(scale, 1e-300)
+    sv_u = scipy.linalg.svdvals(exact_section(u2, m))
+    op, sv_r = 0.0, sv_u
+    if v.any():
+        v2 = np.concatenate([v, np.zeros(u2.size - v.size, dtype=complex)])
+        op = float(scipy.linalg.svdvals(exact_section(v2, m))[0])
+        sv_r = scipy.linalg.svdvals(exact_section(u2 - v2, m))
+    threshold = RANK_FLOOR_REL * max(float(sv_u[0]), 1e-300)
     rank = int(np.sum(sv_r > threshold))
     return AAKCertificate(s, op, rank, threshold, uni, tail, n_work)
 
@@ -187,16 +190,11 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
         s = float(svals[k])
         sv = schmidt_vector(ub, s, eigs)
 
+        # a finer grid holds every point of this one, so it cannot help
         m = next_pow2(GRID_FACTOR * n_work)
-        hv = None
-        for _ in range(3):
-            grid_vals = m * np.fft.ifft(sv.h, m)
-            if np.min(np.abs(grid_vals)) > 1e-12 * np.max(np.abs(grid_vals)):
-                hv = grid_vals
-                break
-            m *= 2
-        if hv is None:
-            raise NumericalError("Schmidt vector keeps vanishing on the circle grid")
+        hv = m * np.fft.ifft(sv.h, m)
+        if not np.min(np.abs(hv)) > 1e-12 * np.max(np.abs(hv)):
+            raise NumericalError("Schmidt vector vanishes on the circle grid")
         phi = hv / np.conj(hv)
         uni = float(np.max(np.abs(np.abs(phi) - 1.0)))
         pos = np.fft.fft(phi) / m
@@ -240,7 +238,7 @@ def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
     """
     if cluster.kind != "H":
         raise InputError("ratio certificate applies to plain-square clusters")
-    if cluster.is_zero or cluster.s <= 0.0:
+    if cluster.s <= 0.0:
         raise InputError("ratio certificate needs a positive spectral value")
     rng = np.random.default_rng(7) if rng is None else rng
     m_dim = cluster.dim

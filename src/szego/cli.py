@@ -148,7 +148,7 @@ def _parse_complex_arg(text: str, what: str) -> complex:
 
 def cmd_analyze(args) -> int:
     u = load_symbol(args.input, args.trunc)
-    data, details = forward(u, rel_tol=args.tol, details=True)
+    data, details = forward(u, details=True)
     interlaced = data.interlaced()
     tau2 = tau_squares(interlaced)
     kap2 = kappa_squares(interlaced)
@@ -233,7 +233,7 @@ def cmd_evolve(args) -> int:
               f"in steps of {traj.dt:.3g}")
         print(f"max conserved drift: {traj.max_drift:.3e}")
     elif args.mode == "exact":
-        data = forward(u, rel_tol=args.tol)
+        data = forward(u)
         times = np.linspace(0.0, args.t_final, args.samples + 1)
         rows = []
         for t in times:
@@ -243,7 +243,7 @@ def cmd_evolve(args) -> int:
             rows.append(row(float(t), ut.coeffs, conserved_quantities(ut)))
         print(f"sampled exact evolution at {len(times)} times")
     else:
-        cmp = compare_flows(u, args.t_final, args.dt, y=y, rel_tol=args.tol)
+        cmp = compare_flows(u, args.t_final, args.dt, y=y)
         traj = cmp.trajectory
         header.append("exact_gap")
         rows = []
@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     u = load_symbol(args.input, args.trunc)
-    rep = roundtrip(u, rel_tol=args.tol)
+    rep = roundtrip(u)
     print(f"coefficient residual: {rep.coeff_residual:.3e} "
           f"(relative {rep.coeff_relative:.3e})")
     print(f"singular values: max relative gap {rep.s_relative:.3e}")
@@ -332,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="relative clustering tolerance (default 1e-6)")
         p.add_argument("--trunc", type=int, default=None,
                        help="override the truncation size")
 

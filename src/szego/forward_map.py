@@ -27,7 +27,7 @@ from .hankel import (DENSE_EIG_MAX, Symbol, _check_ku2, apply_H, apply_K,
                      build_pair, check_shifted_square, dense_hankel,
                      hermitian_eigs, shifted_coeffs, square_operator)
 
-DEFAULT_REL_TOL = 1e-6
+CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
 ZERO_FLOOR_REL = 1e-12
 REAL_ZERO_FLOOR_REL = 1e-8
@@ -49,7 +49,6 @@ class MultiplicityCluster:
     projection_norm: float
     member: bool            # does the symbol project onto this cluster
     kind: str               # "H" for the plain square, "K" for the shifted one
-    is_zero: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,25 +116,22 @@ class SpectralData:
         return np.array([b.angle for b in self.psi])
 
 
-def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
-    """Group descending nonnegative eigenvalues into multiplicity clusters.
+def cluster_eigenvalues(eigs: np.ndarray):
+    """Group the positive descending eigenvalues into multiplicity clusters.
 
-    Adjacent values within rel_tol of the largest eigenvalue merge; values
-    below the absolute floor 1e-12 * max form the zero cluster.  Returns a
-    list of (mean value, index list, is_zero).  A gap between clusters
-    below 3 * rel_tol * max triggers an ambiguity warning.
+    Adjacent values within CLUSTER_REL_TOL of the largest eigenvalue merge;
+    values below the absolute floor 1e-12 * max are the kernel and form no
+    cluster.  Returns a list of (mean value, index list).  A gap between
+    clusters below 3 * CLUSTER_REL_TOL * max triggers an ambiguity warning.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
+    if eigs.size == 0 or eigs[0] <= 0.0:
         return []
     top = eigs[0]
-    if top <= 0.0:
-        return [(0.0, list(range(eigs.size)), True)]
-    floor = ZERO_FLOOR_REL * top
-    scale = rel_tol * top
+    scale = CLUSTER_REL_TOL * top
     clusters = []
     current = [0]
-    positive_count = int(np.sum(eigs > floor))
+    positive_count = int(np.sum(eigs > ZERO_FLOOR_REL * top))
     for i in range(1, positive_count):
         if eigs[i - 1] - eigs[i] <= scale:
             current.append(i)
@@ -144,42 +140,45 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
             current = [i]
     if positive_count:
         clusters.append(current)
-    out = [(float(np.mean(eigs[idx])), idx, False) for idx in clusters]
+    out = [(float(np.mean(eigs[idx])), idx) for idx in clusters]
     for a, b in zip(out[:-1], out[1:]):
         gap = eigs[a[1][-1]] - eigs[b[1][0]]
         if gap < AMBIGUOUS_GAP_FACTOR * scale:
             warnings.warn(
                 f"cluster gap {gap:.3e} is within 3x the grouping tolerance",
                 AmbiguousClusterWarning, stacklevel=2)
-    if positive_count < eigs.size:
-        out.append((0.0, list(range(positive_count, eigs.size)), True))
     return out
 
 
 def _enrich(raw, vectors, u_coeffs, norm_u, kind):
     clusters = []
-    for value, idx, is_zero in raw:
+    for value, idx in raw:
         basis = vectors[:, idx]
         coef = basis.conj().T @ u_coeffs
         proj = basis @ coef
         pnorm = float(np.linalg.norm(proj))
         clusters.append(MultiplicityCluster(
-            value=value, s=float(np.sqrt(max(value, 0.0))), dim=len(idx),
+            value=value, s=float(np.sqrt(value)), dim=len(idx),
             basis=basis, projection_of_u=proj,
             projection_norm=pnorm, member=pnorm > MEMBERSHIP_REL * norm_u,
-            kind=kind, is_zero=is_zero))
+            kind=kind))
     return clusters
 
 
-def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
-    """Cluster both squares and assign each essential value to one side.
+def sigma_membership(u: Symbol):
+    """Cluster both squares and walk them once for the essential values.
 
     Up to 512 modes the dense pair is fully diagonalized; above that, the
     matrix-free squares give their top rank bound + 2 eigenpairs (64 for
-    a non-rational symbol) by Lanczos.  Cross-checks: an essential value
-    on both sides, or a matched pair of clusters whose dimensions do not
-    differ by exactly one, is a structural contradiction and raises.
-    Returns (clusters_h, clusters_k, zero_in_shifted).
+    a non-rational symbol) by Lanczos.  One pass down both descending
+    cluster lists pairs a plain and a shifted cluster within the match
+    tolerance as one value (an unmatched cluster has a match of dimension
+    0).  Every value the symbol sees must be a member on exactly one side,
+    with a cluster there one dimension larger than its match, and these
+    essential values must alternate plain/shifted/plain/... from the top;
+    anything else raises SpectralInconsistencyError.  Returns (clusters_h,
+    clusters_k, essential); an odd essential count puts the zero value on
+    the shifted side.
     """
     norm_u = u.l2_norm
     n = u.n_modes
@@ -199,58 +198,50 @@ def sigma_membership(u: Symbol, rel_tol: float = DEFAULT_REL_TOL):
         es_h = hermitian_eigs(h2, k=k)
         check_shifted_square(h2, k2, u.coeffs, es_h.values[0])
         es_k = hermitian_eigs(k2, k=k)
-    raw_h = cluster_eigenvalues(es_h.values, rel_tol)
-    raw_k = cluster_eigenvalues(es_k.values, rel_tol)
-    clusters_h = _enrich(raw_h, es_h.vectors, u.coeffs, norm_u, "H")
-    clusters_k = _enrich(raw_k, es_k.vectors, u.coeffs, norm_u, "K")
+    clusters_h = _enrich(cluster_eigenvalues(es_h.values), es_h.vectors,
+                         u.coeffs, norm_u, "H")
+    clusters_k = _enrich(cluster_eigenvalues(es_k.values), es_k.vectors,
+                         u.coeffs, norm_u, "K")
 
-    top = max(es_h.values[0], 1e-300)
-    match_tol = rel_tol * top
-    pos_h = [c for c in clusters_h if not c.is_zero]
-    pos_k = [c for c in clusters_k if not c.is_zero]
-    # 0 sits in the shifted spectrum exactly when the shifted rank is one
-    # short of the plain rank.  Ranks add the cluster dimensions over all
-    # detected values (an essential value contributes its own dimension on
-    # its side and the matched dimension, possibly zero, on the other),
-    # which is far more robust than thresholding a kernel projection.
-    rank_h = rank_k = 0
-    for ch in pos_h:
-        mk = [c for c in pos_k if abs(c.value - ch.value) <= match_tol]
-        dim_k = mk[0].dim if mk else 0
-        if ch.member:
-            if mk and mk[0].member:
-                raise SpectralInconsistencyError(
-                    f"value {ch.s:.6g} claims membership on both sides")
-            if ch.dim - dim_k != 1:
-                raise SpectralInconsistencyError(
-                    f"essential plain value {ch.s:.6g}: dims {ch.dim} vs {dim_k} "
-                    "(difference must be 1)")
-            rank_h += ch.dim
-            rank_k += dim_k
-    for ck in pos_k:
-        mh = [c for c in pos_h if abs(c.value - ck.value) <= match_tol]
-        dim_h = mh[0].dim if mh else 0
-        if ck.member:
-            if ck.dim - dim_h != 1:
-                raise SpectralInconsistencyError(
-                    f"essential shifted value {ck.s:.6g}: dims {ck.dim} vs {dim_h} "
-                    "(difference must be 1)")
-            rank_k += ck.dim
-            rank_h += dim_h
+    match_tol = CLUSTER_REL_TOL * max(es_h.values[0], 1e-300)
+    essential = []
+    i = j = 0
+    while i < len(clusters_h) or j < len(clusters_k):
+        ch = clusters_h[i] if i < len(clusters_h) else None
+        ck = clusters_k[j] if j < len(clusters_k) else None
+        # the larger cluster stands alone unless the other one matches it
+        if ck is None or (ch is not None and ch.value > ck.value + match_tol):
+            ck = None
+        elif ch is None or ck.value > ch.value + match_tol:
+            ch = None
+        i += ch is not None
+        j += ck is not None
+        if ch is not None and ck is not None and ch.member and ck.member:
+            raise SpectralInconsistencyError(
+                f"value {ch.s:.6g} claims membership on both sides")
+        ess, other = (ch, ck) if ch is not None and ch.member else (ck, ch)
+        if ess is None or not ess.member:
+            continue
+        side = "plain" if ess.kind == "H" else "shifted"
+        dim_other = other.dim if other is not None else 0
+        if ess.dim - dim_other != 1:
+            raise SpectralInconsistencyError(
+                f"essential {side} value {ess.s:.6g}: dims {ess.dim} vs {dim_other} "
+                "(difference must be 1)")
+        if ess.kind != "HK"[len(essential) % 2]:
+            raise SpectralInconsistencyError(
+                f"essential {side} value {ess.s:.6g} breaks the "
+                "plain/shifted/plain/... interlacing")
+        essential.append(ess)
 
     # The symbol is orthogonal to the kernel of the plain operator, so the
     # essential plain projections must add back to the symbol.
-    res_h = u.coeffs - sum(c.projection_of_u for c in pos_h if c.member)
+    res_h = u.coeffs - sum(c.projection_of_u for c in essential if c.kind == "H")
     if np.linalg.norm(res_h) > 1e-6 * norm_u:
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    if rank_h not in (rank_k, rank_k + 1):
-        raise SpectralInconsistencyError(
-            f"plain rank {rank_h} vs shifted rank {rank_k}: "
-            "must be equal or differ by one")
-    zero_in_shifted = rank_h == rank_k + 1
-    return clusters_h, clusters_k, zero_in_shifted
+    return clusters_h, clusters_k, essential
 
 
 def fit_circle_ratio(num_vec: np.ndarray, den_vec: np.ndarray, d: int):
@@ -326,10 +317,13 @@ class ForwardDetails:
     clusters_h: list
     clusters_k: list
     essential: list        # MultiplicityCluster per stored singular value
-    zero_in_shifted: bool
+
+    @property
+    def zero_in_shifted(self) -> bool:
+        return len(self.essential) % 2 == 1
 
 
-def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
+def forward(u: Symbol, details: bool = False):
     """Full spectral analysis of a symbol.
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
@@ -338,28 +332,10 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
-    clusters_h, clusters_k, zero_in_shifted = sigma_membership(u, rel_tol)
-    ess_h = [c for c in clusters_h if c.member and not c.is_zero]
-    ess_k = [c for c in clusters_k if c.member and not c.is_zero]
-    if zero_in_shifted:
-        if len(ess_k) != len(ess_h) - 1:
-            raise SpectralInconsistencyError(
-                f"{len(ess_h)} plain vs {len(ess_k)} shifted essential values "
-                "with a zero on the shifted side")
-    elif len(ess_k) != len(ess_h):
-        raise SpectralInconsistencyError(
-            f"{len(ess_h)} plain vs {len(ess_k)} shifted essential values")
-    merged = []
-    for i, c in enumerate(ess_h):
-        merged.append(c)
-        if i < len(ess_k):
-            merged.append(ess_k[i])
-    values = np.array([c.s for c in merged])
-    if np.any(np.diff(values) >= 0.0):
-        raise SpectralInconsistencyError(
-            "essential values do not strictly interlace plain/shifted/plain/...")
+    clusters_h, clusters_k, essential = sigma_membership(u)
+    values = np.array([c.s for c in essential])
     psi = []
-    for c in merged:
+    for c in essential:
         proj = c.projection_of_u
         if c.kind == "H":
             b = extract_blaschke(c.s * proj, apply_H(u, proj), c.dim)
@@ -368,8 +344,7 @@ def forward(u: Symbol, rel_tol: float = DEFAULT_REL_TOL, details: bool = False):
         psi.append(b)
     data = SpectralData(values, tuple(psi))
     if details:
-        return data, ForwardDetails(clusters_h, clusters_k, merged,
-                                    zero_in_shifted)
+        return data, ForwardDetails(clusters_h, clusters_k, essential)
     return data
 
 

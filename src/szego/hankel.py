@@ -28,7 +28,6 @@ from .algebra import Poly, RationalFunction, grid_transform, next_pow2
 from .errors import ConsistencyError, InputError, NumericalError
 
 DENSE_EIG_MAX = 512
-RESOLVED_TAIL_REL = 1e-8
 BUILD_TAIL_REL = 1e-10
 TRUNCATION_CAP = 8192
 EIG_RESIDUAL_REL = 1e-10
@@ -85,13 +84,6 @@ class Symbol:
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    @property
-    def resolved(self) -> bool:
-        top = float(np.abs(self.coeffs).max())
-        if top == 0.0:
-            return True
-        return abs(self.coeffs[-1]) <= RESOLVED_TAIL_REL * top
-
     def values_on_grid(self, m: int) -> np.ndarray:
         """Evaluate at the m-th roots of unity (m a power of two)."""
         return grid_transform(self.coeffs, m).samples
@@ -101,10 +93,12 @@ class Symbol:
         """Expand a rational symbol to a resolved truncation.
 
         The starting size is max(4 * rank_bound, 32) with
-        rank_bound = max(deg den, deg num + 1); the size doubles (up to
-        8192) until the trailing coefficient falls below 1e-10 of the
-        largest, which implies the documented 1e-8 resolution bound.
-        Polynomial symbols are exact at any size, so no doubling occurs.
+        rank_bound = max(deg den, deg num + 1); the size doubles until the
+        trailing coefficient falls below 1e-10 of the largest, which
+        implies the documented 1e-8 resolution bound.  A symbol still
+        unresolved at 8192 modes raises NumericalError.  Polynomial
+        symbols are exact at any size, so no doubling occurs; an explicit
+        n_modes is taken as given.
         """
         rank_bound = max(rf.den.degree, rf.num.degree + 1)
         n = n_modes if n_modes is not None else max(4 * max(rank_bound, 1), 32)
@@ -118,8 +112,14 @@ class Symbol:
             top = float(np.abs(c).max())
             if n_modes is not None or top == 0.0 or rf.den.degree == 0:
                 break
-            if np.abs(c[-window:]).max() <= BUILD_TAIL_REL * top or n >= TRUNCATION_CAP:
+            tail = float(np.abs(c[-window:]).max())
+            if tail <= BUILD_TAIL_REL * top:
                 break
+            if n >= TRUNCATION_CAP:
+                raise NumericalError(
+                    "rational symbol unresolved at the truncation cap of "
+                    f"{TRUNCATION_CAP} modes: trailing coefficients at "
+                    f"{tail / top:.2e} of the largest, above {BUILD_TAIL_REL:.0e}")
             n *= 2
         return Symbol(c, rational=rf)
 
@@ -337,8 +337,9 @@ def hermitian_eigs(a, k: int | None = None) -> EigenSystem:
 
     A dense matrix gets every eigenpair from one LAPACK divide-and-conquer
     solve (zheevd, whose work copy becomes the eigenvectors); a matrix-free
-    operator gets its top k by Lanczos (ARPACK eigsh), and k is required
-    for an operator only.  Eigenvalues come back descending, clipped at
+    operator gets its top k by Lanczos (ARPACK eigsh, from a start vector
+    seeded with 0 so that runs repeat bitwise), and k is required for an
+    operator only.  Eigenvalues come back descending, clipped at
     zero (the dense vectors as a column-reversed view).  The Hermitian
     check of a dense matrix, the residual check ||A v - lambda v|| <=
     1e-10 lambda_max and the orthonormality check |V* V - I| <= 1e-12 all
@@ -358,8 +359,10 @@ def hermitian_eigs(a, k: int | None = None) -> EigenSystem:
         return EigenSystem(vals[::-1], vecs[:, ::-1], res, ortho)
     if k is None:
         raise InputError("matrix-free eigendecomposition needs an explicit k")
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="LA")
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="LA", v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NumericalError(f"Lanczos did not converge: {exc}") from exc
     # Lanczos loses orthogonality between vectors of nearly equal

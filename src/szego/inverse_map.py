@@ -317,9 +317,9 @@ def compare_spectral(got: SpectralData, want: SpectralData):
     return s_rel, ang, pco
 
 
-def roundtrip(u: Symbol, rel_tol: float = 1e-6) -> RoundtripReport:
+def roundtrip(u: Symbol) -> RoundtripReport:
     """Measure both round trips starting from a symbol."""
-    data = forward(u, rel_tol=rel_tol)
+    data = forward(u)
     result = synthesize(data)
     pad = max(u.n_modes, result.u.n_modes)
     a = np.zeros(pad, dtype=complex)
@@ -327,6 +327,6 @@ def roundtrip(u: Symbol, rel_tol: float = 1e-6) -> RoundtripReport:
     a[: u.n_modes] = u.coeffs
     b[: result.u.n_modes] = result.u.coeffs
     coeff = float(np.linalg.norm(a - b))
-    back = forward(result.u, rel_tol=rel_tol)
+    back = forward(result.u)
     s_rel, ang, pco = compare_spectral(back, data)
     return RoundtripReport(coeff, coeff / max(u.l2_norm, 1e-300), s_rel, ang, pco)

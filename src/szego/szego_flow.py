@@ -216,15 +216,15 @@ class FlowComparison:
     drift: dict
 
 
-def compare_flows(u0: Symbol, t_final: float, dt: float, y: float | None = None,
-                  rel_tol: float = 1e-6) -> FlowComparison:
+def compare_flows(u0: Symbol, t_final: float, dt: float,
+                  y: float | None = None) -> FlowComparison:
     """Integrate directly and through spectral data, and measure the gap.
 
     The exact route analyzes u0 once, rotates the phases to each recorded
     time, synthesizes, and compares Taylor coefficients against the RK4
     state at the truncation size of u0.
     """
-    data0 = forward(u0, rel_tol=rel_tol)
+    data0 = forward(u0)
     traj = direct_evolve(u0, t_final, dt, y=y)
     norm = max(u0.l2_norm, 1e-300)
     gaps = np.zeros(traj.times.size)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from szego.aak import (best_approx, perturbation_sanity, ratio_certificate,
-                       schmidt_vector)
-from szego.errors import InputError
+from szego import aak
+from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
+                       ratio_certificate, schmidt_vector)
+from szego.errors import InputError, NumericalError
 from szego.forward_map import forward
 from szego.hankel import Symbol, resize_symbol
 
@@ -32,6 +33,15 @@ def test_order_below_one_rejected(hand_symbol):
         best_approx(hand_symbol, 0)
     with pytest.raises(InputError):
         best_approx(hand_symbol, -1)
+
+
+def test_schmidt_vector_vanishing_on_the_grid_raises(monkeypatch, hand_symbol):
+    # h = (1 - z) / sqrt(2) vanishes at z = 1, a point of every grid
+    h = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+    monkeypatch.setattr(aak, "schmidt_vector",
+                        lambda u, s, eigs: SchmidtVector(s, h, 0.0))
+    with pytest.raises(NumericalError, match="vanishes on the circle grid"):
+        best_approx(hand_symbol, 1)
 
 
 def test_schmidt_vector_hand(hand_symbol):
@@ -63,7 +73,7 @@ def test_perturbation_sanity_hand(hand_symbol):
 def test_ratio_certificate_monomial():
     u = resize_symbol(Symbol(np.array([0.0, 1.0])), 8)
     _, details = forward(u, details=True)
-    cluster = next(c for c in details.clusters_h if c.member and not c.is_zero)
+    cluster = next(c for c in details.clusters_h if c.member)
     samples = ratio_certificate(u, cluster)
     for sample in samples:
         assert sample.fit_residual < 1e-6

@@ -60,7 +60,7 @@ def test_criterion_02_rank_one_closed_form():
 def test_criterion_03_multiplicity_two():
     u = resize_symbol(Symbol(np.array([0.0, 1.0])), 8)
     data, details = forward(u, details=True)
-    members = [c for c in details.clusters_h if c.member and not c.is_zero]
+    members = [c for c in details.clusters_h if c.member]
     dim = members[0].dim if members else 0
     circle = np.exp(2j * np.pi * np.arange(16) / 16)
     psi_gap = float(np.max(np.abs(data.psi[0](circle) - circle)))
@@ -185,7 +185,7 @@ def _timed(fn):
 def test_criterion_11_traveling_wave():
     rep = traveling_wave(1.0, 1, 2, 0.5, t_final=0.5, dt=1e-3)
     data, details = forward(rep.symbol, details=True)
-    members_h = [c for c in details.clusters_h if c.member and not c.is_zero]
+    members_h = [c for c in details.clusters_h if c.member]
     circle = np.exp(2j * np.pi * np.arange(16) / 16)
     m = members_h[0].dim if members_h else 0
     inner_gap = float(np.max(np.abs(

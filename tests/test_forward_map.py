@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from szego import forward_map
 from szego.algebra import Poly, RationalFunction
 from szego.blaschke import BlaschkeProduct, from_zeros
-from szego.errors import InputError
+from szego.errors import InputError, SpectralInconsistencyError
 from szego.forward_map import SpectralData, forward, real_diagnostics
-from szego.hankel import DENSE_EIG_MAX, Symbol, resize_symbol
+from szego.hankel import DENSE_EIG_MAX, EigenSystem, Symbol, resize_symbol
 from szego.inverse_map import fourvalue_formula
 
 CIRCLE = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 17)[:-1])
@@ -37,7 +40,7 @@ def test_monomial_has_a_multiplicity_two_cluster():
     assert abs(data.s[0] - 1.0) < 1e-10
     assert data.psi[0].degree == 1
     assert np.max(np.abs(data.psi[0](CIRCLE) - CIRCLE)) < 1e-8
-    members_h = [c for c in details.clusters_h if c.member and not c.is_zero]
+    members_h = [c for c in details.clusters_h if c.member]
     assert len(members_h) == 1 and members_h[0].dim == 2
     assert details.zero_in_shifted
 
@@ -116,3 +119,39 @@ def test_matrix_free_path_rank_one_closed_form():
     expect = np.array([1.0, r]) / (1.0 - r * r)
     assert data.n == 2
     assert np.max(np.abs(data.s - expect)) < 1e-9 * expect[0]
+
+
+def test_matrix_free_path_repeats_bitwise():
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.962])))
+    first, second = forward(u), forward(u)
+    assert np.array_equal(first.s, second.s)
+    assert np.array_equal(first.angles(), second.angles())
+    for a, b in zip(first.psi, second.psi):
+        assert np.array_equal(a.p.coeffs, b.p.coeffs)
+
+
+def _eigensystem(values, order):
+    """Descending values on the coordinate vectors taken in the given order."""
+    return EigenSystem(np.array(values, dtype=float),
+                       np.eye(len(values), dtype=complex)[:, order], 0.0, 0.0)
+
+
+@pytest.mark.parametrize("coeffs, h_vals, k_vals, k_order, rule", [
+    # u = e0 + e1 sees the plain values 4 and 1 and no shifted value between
+    ([1.0, 1.0, 0.0, 0.0], [4, 1, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3],
+     "interlacing"),
+    # u = e0 sees the plain value 4, whose shifted match has the same dimension
+    ([1.0, 0.0, 0.0, 0.0], [4, 0, 0, 0], [4, 0, 0, 0], [1, 0, 2, 3],
+     "dims 1 vs 1"),
+    # u = e0 sees the value 4 on both sides
+    ([1.0, 0.0, 0.0, 0.0], [4, 0, 0, 0], [4, 0, 0, 0], [0, 1, 2, 3],
+     "both sides"),
+])
+def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
+                                               k_vals, k_order, rule):
+    pair = SimpleNamespace(h2=_eigensystem(h_vals, [0, 1, 2, 3]),
+                           k2=_eigensystem(k_vals, k_order), ku2_residual=0.0)
+    monkeypatch.setattr(forward_map, "build_pair", lambda u: pair)
+    monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
+    with pytest.raises(SpectralInconsistencyError, match=rule):
+        forward(Symbol(np.array(coeffs, dtype=complex)))

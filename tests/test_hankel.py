@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from szego.algebra import Poly, RationalFunction
-from szego.errors import ConsistencyError, InputError
+from szego.errors import ConsistencyError, InputError, NumericalError
 from szego import forward_map
 from szego.hankel import (HankelPair, Symbol, _validate_eigs, apply_H, apply_K,
                           build_pair, check_shifted_square, dense_hankel,
@@ -175,9 +175,22 @@ def test_dense_square_is_the_hermitian_square(rng):
 
 def test_from_rational_resolves_geometric():
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.9])))
-    assert u.resolved
     assert np.allclose(u.coeffs[:5], 0.9 ** np.arange(5))
     assert abs(u.coeffs[-1]) <= 1e-9
+
+
+def test_from_rational_resolves_just_below_the_cap():
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.997])))
+    assert u.n_modes == 8192
+    assert abs(u.coeffs[-1]) < 1e-10
+
+
+def test_from_rational_raises_at_the_cap_with_the_tail():
+    # the trailing window still holds 0.999**8190 = 2.76e-4 of the top coefficient
+    rf = RationalFunction(Poly([1.0]), Poly([1.0, -0.999]))
+    with pytest.raises(NumericalError, match="8192 modes.*2.76e-04"):
+        Symbol.from_rational(rf)
+    assert Symbol.from_rational(rf, n_modes=8192).n_modes == 8192
 
 
 def test_from_rational_handles_sparse_coefficient_support():
