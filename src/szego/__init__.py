@@ -30,8 +30,7 @@ from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
 from .szego_flow import (ConservedRecord, FlowComparison, Trajectory,
                          TravelingWaveReport, compare_flows,
                          conserved_quantities, direct_evolve, exact_evolve,
-                         hierarchy_exact_evolve, hierarchy_field, szego_rhs,
-                         traveling_wave)
+                         szego_rhs, traveling_wave)
 from .aak import (AAKCertificate, AAKResult, SchmidtVector, best_approx,
                   perturbation_sanity, ratio_certificate, schmidt_vector)
 from .verify import VerifyCase, run as run_verify
@@ -53,11 +52,9 @@ __all__ = [
     "conj_reflect", "conserved_quantities", "consistency_report",
     "dense_hankel", "direct_evolve", "exact_evolve", "forward",
     "fourvalue_formula", "from_zeros", "grid_transform", "hankel_matvec",
-    "hermitian_eigs", "hierarchy_exact_evolve", "hierarchy_field",
-    "identity_residuals", "interpolate", "is_schur_poly", "j_of_x",
-    "kappa_squares", "next_pow2", "perturbation_sanity",
+    "hermitian_eigs", "identity_residuals", "interpolate", "is_schur_poly",
+    "j_of_x", "kappa_squares", "next_pow2", "perturbation_sanity",
     "polymatrix_det_minors", "ratio_certificate", "real_diagnostics",
     "resize_symbol", "roundtrip", "run_verify", "schmidt_vector",
-    "shift_symbol", "synthesize", "szego_rhs",
-    "tau_squares", "traveling_wave",
+    "shift_symbol", "synthesize", "szego_rhs", "tau_squares", "traveling_wave",
 ]

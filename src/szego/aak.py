@@ -106,25 +106,26 @@ class AAKResult:
     certificate: AAKCertificate
 
 
-def _certify(u: Symbol, v: np.ndarray, s: float,
+def _certify(u: Symbol, v: np.ndarray, s: float, top: float,
              uni: float, tail: float, n_work: int) -> AAKCertificate:
     # Exact m x m sections (entries c_{i+j} out to 2m - 1 coefficients)
     # avoid the rank leakage of zero-padded matrices.  The subtracted
     # part v is a polynomial, so the approximation r = u - v shares u's
-    # continuation beyond the truncation.  The rank cut still sits above
+    # continuation beyond the truncation.  The rank cut is scaled by u's
+    # top singular value from the eigensolve (top) and still sits above
     # the TAIL_REL mass dropped from the projection and below genuine
     # singular values of supported data.  With v = 0 (u is its own
     # approximation) r is u and the distance is 0.0, as the SVD of a zero
     # section would give, so u's SVD is the only one taken.
     m = n_work
-    u2 = resize_symbol(u, 2 * m - 1).coeffs
-    sv_u = scipy.linalg.svdvals(exact_section(u2, m))
-    op, sv_r = 0.0, sv_u
+    r2 = resize_symbol(u, 2 * m - 1).coeffs
+    op = 0.0
     if v.any():
-        v2 = np.concatenate([v, np.zeros(u2.size - v.size, dtype=complex)])
+        v2 = np.concatenate([v, np.zeros(r2.size - v.size, dtype=complex)])
         op = float(scipy.linalg.svdvals(exact_section(v2, m))[0])
-        sv_r = scipy.linalg.svdvals(exact_section(u2 - v2, m))
-    threshold = RANK_FLOOR_REL * max(float(sv_u[0]), 1e-300)
+        r2 = r2 - v2
+    sv_r = scipy.linalg.svdvals(exact_section(r2, m))
+    threshold = RANK_FLOOR_REL * top
     rank = int(np.sum(sv_r > threshold))
     return AAKCertificate(s, op, rank, threshold, uni, tail, n_work)
 
@@ -135,7 +136,8 @@ def _tight_truncation(u: Symbol) -> int:
     Eigenvalue and Schmidt-vector accuracy is limited by the mass the
     finite section never sees, so the working length is grown until the
     known tail of the exact rational form is negligible.  Plain
-    finite-coefficient symbols are already exact.
+    finite-coefficient symbols are already exact.  A symbol whose tail
+    needs more than TRUNCATION_CAP modes raises NumericalError.
     """
     if u.rational is None:
         return u.n_modes
@@ -145,10 +147,12 @@ def _tight_truncation(u: Symbol) -> int:
         total = max(float(np.linalg.norm(c)), 1e-300)
         suffix = np.sqrt(np.cumsum(np.abs(c[::-1]) ** 2)[::-1])
         keep = np.nonzero(suffix <= TIGHT_TAIL_REL * total)[0]
-        if keep.size and keep[0] < c.size:
+        if keep.size and keep[0] + 8 <= TRUNCATION_CAP:
             return min(TRUNCATION_CAP, max(int(keep[0]) + 8, u.n_modes))
-        if 2 * n >= TRUNCATION_CAP:
-            return TRUNCATION_CAP
+        if 2 * n > TRUNCATION_CAP:
+            raise NumericalError(
+                f"coefficient tail {suffix[TRUNCATION_CAP] / total:.3e} at the "
+                f"cap of {TRUNCATION_CAP} modes is not below {TIGHT_TAIL_REL:.0e}")
         n *= 2
 
 
@@ -180,7 +184,8 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
             if prev <= floor:
                 raise InputError(
                     f"gap hypothesis fails: s_{k - 1} is already numerically zero")
-            cert = _certify(ub, np.zeros(n_work, dtype=complex), 0.0, 0.0, 0.0, n_work)
+            cert = _certify(ub, np.zeros(n_work, dtype=complex), 0.0, top,
+                            0.0, 0.0, n_work)
             zero = Symbol(np.zeros(n_work, dtype=complex))
             return AAKResult(u, k, 0.0, ub, zero, cert)
         if svals[k - 1] - svals[k] <= GAP_FLOOR_REL * top:
@@ -209,7 +214,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
         n_work = min(2 * n_work, TRUNCATION_CAP)
 
     r_coeffs = ub.coeffs - v
-    cert = _certify(ub, v, s, uni, tail, n_work)
+    cert = _certify(ub, v, s, top, uni, tail, n_work)
     return AAKResult(u, k, s, Symbol(r_coeffs), Symbol(v), cert)
 
 

@@ -25,8 +25,7 @@ from .forward_map import SpectralData, forward
 from .hankel import Symbol, hankel_section, resize_symbol
 from .inverse_map import roundtrip, synthesize
 from .szego_flow import (CONSERVED_LABELS, compare_flows, conserved_quantities,
-                         direct_evolve, exact_evolve, hierarchy_exact_evolve,
-                         traveling_wave)
+                         direct_evolve, exact_evolve, traveling_wave)
 
 FILE_VERSION = 1
 
@@ -64,12 +63,14 @@ def _load_json(path: str) -> dict:
 
 
 def load_symbol(path: str, trunc: int | None = None) -> Symbol:
+    """A symbol from 'coeffs', from 'rational' (expanded to its stored
+    'truncation' or a resolved one), or from both as symbol_payload
+    writes them, in which case Symbol checks that the two agree."""
     doc = _load_json(path)
-    if ("coeffs" in doc) == ("rational" in doc):
-        raise InputError(f"{path}: need exactly one of 'coeffs' or 'rational'")
-    if "coeffs" in doc:
-        u = Symbol(_pairs_to_complex(doc["coeffs"], "coeffs"))
-    else:
+    if "coeffs" not in doc and "rational" not in doc:
+        raise InputError(f"{path}: need 'coeffs' or 'rational'")
+    rf = None
+    if "rational" in doc:
         rat = doc["rational"]
         if not isinstance(rat, dict) or "num" not in rat or "den" not in rat:
             raise InputError(f"{path}: 'rational' needs 'num' and 'den'")
@@ -78,11 +79,12 @@ def load_symbol(path: str, trunc: int | None = None) -> Symbol:
         if abs(den[0] - 1.0) > 1e-12:
             raise InputError(f"{path}: rational denominator must have den[0] = 1")
         rf = RationalFunction(Poly(num), Poly(den))
+    if "coeffs" not in doc:
         stored = doc.get("truncation")
         if stored is not None and trunc is None:
             trunc = int(stored)
-        u = Symbol.from_rational(rf, n_modes=trunc)
-        return u
+        return Symbol.from_rational(rf, n_modes=trunc)
+    u = Symbol(_pairs_to_complex(doc["coeffs"], "coeffs"), rational=rf)
     if trunc is not None:
         u = resize_symbol(u, int(trunc))
     return u
@@ -237,9 +239,8 @@ def cmd_evolve(args) -> int:
         times = np.linspace(0.0, args.t_final, args.samples + 1)
         rows = []
         for t in times:
-            moved = exact_evolve(data, float(t)) if y is None else \
-                hierarchy_exact_evolve(data, y, float(t))
-            ut = Symbol(synthesize(moved).rational.taylor(n))
+            moved = synthesize(exact_evolve(data, float(t), y))
+            ut = Symbol(moved.rational.taylor(n))
             rows.append(row(float(t), ut.coeffs, conserved_quantities(ut)))
         print(f"sampled exact evolution at {len(times)} times")
     else:

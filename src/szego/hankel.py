@@ -155,33 +155,38 @@ def shift_symbol(u: Symbol) -> Symbol:
     return Symbol(u.coeffs[1:], rational=rat)
 
 
+def _embedded_fft(c: np.ndarray) -> np.ndarray:
+    """FFT of c zero-padded to a power of two at least 2N - 1."""
+    return np.fft.fft(c, next_pow2(max(2 * c.size - 1, 2)))
+
+
+def _fft_hankel(fc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_n = sum_k c_{n+k} x_k by circulant embedding, O(N log N), from
+    fc = _embedded_fft(c)."""
+    n = x.size
+    conv = np.fft.ifft(fc * np.fft.fft(x[::-1], fc.size))
+    return conv[n - 1: 2 * n - 1]
+
+
 def hankel_matvec(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y_n = sum_k c_{n+k} x_k via circulant embedding, O(N log N)."""
     c = np.asarray(c, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    n = c.size
-    if x.size != n:
+    if x.size != c.size:
         raise InputError("vector length does not match symbol truncation")
-    if n == 1:
-        return c * x
-    size = next_pow2(2 * n - 1)
-    conv = np.fft.ifft(np.fft.fft(c, size) * np.fft.fft(x[::-1], size))
-    return conv[n - 1: 2 * n - 1]
+    return _fft_hankel(_embedded_fft(c), x)
 
 
 class FastHankel:
     """Reusable FFT plan for repeated matvecs with one coefficient vector."""
 
     def __init__(self, c: np.ndarray):
-        self.c = np.asarray(c, dtype=complex)
-        self.n = self.c.size
-        self.size = next_pow2(max(2 * self.n - 1, 2))
-        self.fc = np.fft.fft(self.c, self.size)
+        c = np.asarray(c, dtype=complex)
+        self.n = c.size
+        self.fc = _embedded_fft(c)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex).reshape(self.n)
-        conv = np.fft.ifft(self.fc * np.fft.fft(x[::-1], self.size))
-        return conv[self.n - 1: 2 * self.n - 1]
+        return _fft_hankel(self.fc, np.asarray(x, dtype=complex).reshape(self.n))
 
 
 def dense_hankel(c: np.ndarray) -> np.ndarray:

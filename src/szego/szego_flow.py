@@ -28,9 +28,35 @@ CONSERVED_LABELS = ("l2_sq", "momentum", "energy") + \
     tuple(f"j_{y:g}" for y in PROBE_YS)
 
 
-def szego_rhs(u: Symbol) -> Symbol:
-    """Right-hand side -i P(|u|^2 u) of the cubic flow, truncated to N modes."""
-    return Symbol(_cubic_rhs(u.coeffs))
+def _flow(y: float | None):
+    """The flow of the hierarchy that y selects: the cubic flow for None,
+    the field generated by J(y) for y > 0.
+
+    Returns the coefficient right-hand side, the speeds at which the
+    inner factors turn (the r-th angle moves at (-1)^(r-1) times the r-th
+    speed) and a label.  The right-hand sides are looked up here, at call
+    time, so that rebinding them in this module reaches every flow.
+    """
+    if y is None:
+        return _cubic_rhs, lambda data: data.s ** 2, "cubic"
+    y = float(y)
+    if y <= 0:
+        raise InputError("hierarchy parameter y must be positive")
+    return ((lambda c: _hierarchy_rhs(c, y)),
+            (lambda data: -2.0 * y * bateman.j_of_x(data.interlaced(), -y)
+             / (1.0 + y * data.s ** 2)),
+            f"hierarchy(y={y:g})")
+
+
+def szego_rhs(u: Symbol, y: float | None = None) -> Symbol:
+    """Right-hand side of the flow y selects, truncated to N modes.
+
+    The cubic flow's is -i P(|u|^2 u).  The field generated by J(y) is
+    2i y w H_u(w) with w = (I + y H^2)^{-1} e_0; the pointwise product of
+    the two analytic factors is a coefficient convolution.
+    """
+    rhs, _, _ = _flow(y)
+    return Symbol(rhs(u.coeffs))
 
 
 def _cubic_rhs(c: np.ndarray) -> np.ndarray:
@@ -40,17 +66,6 @@ def _cubic_rhs(c: np.ndarray) -> np.ndarray:
     w = vals * vals * np.conj(vals)
     coeffs = np.fft.fft(w) / m
     return -1j * coeffs[:n]
-
-
-def hierarchy_field(u: Symbol, y: float) -> Symbol:
-    """The commuting field 2i y w H_u(w), w = (I + y H^2)^{-1} e_0.
-
-    The pointwise product of the two analytic factors is a coefficient
-    convolution, truncated back to N modes.
-    """
-    if y <= 0:
-        raise InputError("hierarchy parameter y must be positive")
-    return Symbol(_hierarchy_rhs(u.coeffs, float(y)))
 
 
 def _resolvents(c: np.ndarray, ys) -> list:
@@ -141,15 +156,7 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float,
     dt_eff = t_final / steps if steps else 0.0
     record_every = max(1, steps // 100)
 
-    if y is None:
-        rhs = _cubic_rhs
-        label = "cubic"
-    else:
-        yv = float(y)
-        if yv <= 0:
-            raise InputError("hierarchy parameter y must be positive")
-        rhs = lambda c: _hierarchy_rhs(c, yv)
-        label = f"hierarchy(y={yv:g})"
+    rhs, _, label = _flow(y)
 
     c = u0.coeffs.astype(complex).copy()
     times = [0.0]
@@ -180,30 +187,20 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float,
                       drift, dt_eff, label)
 
 
-def exact_evolve(data: SpectralData, t: float) -> SpectralData:
-    """Push spectral data forward under the cubic flow.
+def exact_evolve(data: SpectralData, t: float,
+                 y: float | None = None) -> SpectralData:
+    """Push spectral data forward by time t under the flow y selects.
 
-    Each inner factor rotates rigidly: the r-th phase parameter moves as
-    psi_r -> psi_r + (-1)^(r-1) s_r^2 t (1-indexed), so plain positions
-    advance and shifted positions retreat.
+    Each inner factor rotates rigidly.  Under the cubic flow the r-th
+    phase parameter moves as psi_r -> psi_r + (-1)^(r-1) s_r^2 t
+    (1-indexed), so plain positions advance and shifted positions
+    retreat.  Under the field generated by J(y) it moves as
+    psi_r -> psi_r - omega_r t with omega_r = (-1)^(r-1) 2 y J / (1 + y s_r^2)
+    and J = prod (1 + y sigma^2) / (1 + y rho^2).
     """
+    _, speed, _ = _flow(y)
     signs = (-1.0) ** np.arange(data.n)
-    return data.with_angles(data.angles() + signs * data.s ** 2 * t)
-
-
-def hierarchy_exact_evolve(data: SpectralData, y: float, t: float) -> SpectralData:
-    """Push spectral data forward under the field generated by J(y).
-
-    The rotation rates are omega_r = (-1)^(r-1) 2 y J / (1 + y s_r^2)
-    with J = prod (1 + y sigma^2) / (1 + y rho^2), and
-    psi_r -> psi_r - omega_r t.
-    """
-    if y <= 0:
-        raise InputError("hierarchy parameter y must be positive")
-    j = bateman.j_of_x(data.interlaced(), -float(y))
-    signs = (-1.0) ** np.arange(data.n)
-    omega = signs * 2.0 * y * j / (1.0 + y * data.s ** 2)
-    return data.with_angles(data.angles() - omega * t)
+    return data.with_angles(data.angles() + signs * speed(data) * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,11 +227,7 @@ def compare_flows(u0: Symbol, t_final: float, dt: float,
     gaps = np.zeros(traj.times.size)
     n = u0.n_modes
     for i, t in enumerate(traj.times):
-        if y is None:
-            data_t = exact_evolve(data0, float(t))
-        else:
-            data_t = hierarchy_exact_evolve(data0, float(y), float(t))
-        exact_c = synthesize(data_t).rational.taylor(n)
+        exact_c = synthesize(exact_evolve(data0, float(t), y)).rational.taylor(n)
         gaps[i] = float(np.linalg.norm(exact_c - traj.states[i])) / norm
     return FlowComparison(traj, gaps, float(gaps.max()), traj.drift)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from szego import aak
+from szego.algebra import Poly, RationalFunction
 from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
                        ratio_certificate, schmidt_vector)
 from szego.errors import InputError, NumericalError
@@ -33,6 +34,21 @@ def test_order_below_one_rejected(hand_symbol):
         best_approx(hand_symbol, 0)
     with pytest.raises(InputError):
         best_approx(hand_symbol, -1)
+
+
+def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
+    # 1/(1 - 0.997 z) reaches the 1e-14 tail only near 10700 modes
+    u = Symbol.from_rational(
+        RationalFunction(Poly([1.0]), Poly([1.0, -0.997])))
+    assert u.n_modes == 8192
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("best_approx started an eigensolve")
+
+    monkeypatch.setattr(aak, "hermitian_eigs", no_eigensolve)
+    monkeypatch.setattr(aak, "dense_square", no_eigensolve)
+    with pytest.raises(NumericalError, match="cap of 8192 modes"):
+        best_approx(u, 1)
 
 
 def test_schmidt_vector_vanishing_on_the_grid_raises(monkeypatch, hand_symbol):

@@ -47,6 +47,25 @@ def test_analyze_synthesize_files_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_synthesized_file_reads_back(tmp_path, capsys):
+    # synthesize writes coefficients and the rational form side by side
+    u_path = write_rational(tmp_path / "r1.json", [0.75], [1.0, -0.5])
+    data_path = str(tmp_path / "data.json")
+    back_path = str(tmp_path / "back.json")
+    again_path = str(tmp_path / "again.json")
+    assert main(["analyze", u_path, "--out", data_path]) == 0
+    assert main(["synthesize", data_path, "--out", back_path]) == 0
+    back = json.loads((tmp_path / "back.json").read_text())
+    assert "coeffs" in back and "rational" in back
+    assert main(["analyze", back_path, "--out", again_path]) == 0
+    first = json.loads((tmp_path / "data.json").read_text())["data"]
+    again = json.loads((tmp_path / "again.json").read_text())["data"]
+    assert len(again) == len(first) == 2
+    for a, b in zip(first, again):
+        assert abs(a["s"] - b["s"]) < 1e-9
+    capsys.readouterr()
+
+
 def test_analyze_prints_spectrum(tmp_path, capsys):
     u_path = write_rational(tmp_path / "r1.json", [0.75], [1.0, -0.5])
     assert main(["analyze", u_path]) == 0

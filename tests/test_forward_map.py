@@ -5,11 +5,13 @@ import pytest
 
 from szego import forward_map
 from szego.algebra import Poly, RationalFunction
+from szego.bateman import kappa_squares, tau_squares
 from szego.blaschke import BlaschkeProduct, from_zeros
 from szego.errors import InputError, SpectralInconsistencyError
 from szego.forward_map import SpectralData, forward, real_diagnostics
 from szego.hankel import DENSE_EIG_MAX, EigenSystem, Symbol, resize_symbol
 from szego.inverse_map import fourvalue_formula
+from szego.verify import random_spectral_data
 
 CIRCLE = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 17)[:-1])
 
@@ -107,6 +109,22 @@ def test_forward_matches_fourvalue_spectrum():
     u = fourvalue_formula(4.0, 2.0, 1.0, 0.3)
     data = forward(u)
     assert np.max(np.abs(data.s - [4.0, 2.0, 1.0, 0.3])) < 1e-8
+
+
+def test_projection_norms_match_closed_forms():
+    # |P u|^2 on an essential eigenspace is tau^2 (plain) or kappa^2 (shifted)
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(10):
+        drawn, result = random_spectral_data(rng, min_root=1.1)
+        data, details = forward(result.u, details=True)
+        assert data.n == drawn.n
+        v = data.interlaced()
+        closed = {"H": iter(tau_squares(v)), "K": iter(kappa_squares(v))}
+        for cluster in details.essential:
+            want = next(closed[cluster.kind])
+            worst = max(worst, abs(cluster.projection_norm ** 2 - want) / want)
+    assert worst < 1e-10
 
 
 def test_matrix_free_path_rank_one_closed_form():

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from szego.algebra import RationalFunction
-from szego.bateman import j_of_x
 from szego.errors import InputError, StepSizeError
 from szego.forward_map import forward
 from szego.hankel import Symbol, resize_symbol
 from szego.inverse_map import synthesize
 from szego.szego_flow import (compare_flows, conserved_quantities,
-                              direct_evolve, exact_evolve,
-                              hierarchy_exact_evolve, hierarchy_field,
-                              szego_rhs, traveling_wave)
+                              direct_evolve, exact_evolve, szego_rhs,
+                              traveling_wave)
 
 
 def test_cubic_rhs_hand_values(hand_symbol):
@@ -59,20 +57,6 @@ def test_conserved_record_labels(hand_symbol):
     assert abs(rec.energy - 241.0 / 4.0) < 1e-10
 
 
-def test_hierarchy_speeds_match_resolvent_formula(hand_symbol):
-    u = resize_symbol(hand_symbol, 128)
-    data0 = forward(u)
-    t = 1e-3
-    for y in (0.5, 2.0):
-        j = j_of_x(data0.interlaced(), -y)
-        omega = (-1.0) ** np.arange(data0.n) * 2.0 * y * j / (1.0 + y * data0.s ** 2)
-        traj = direct_evolve(u, t, 1e-6, y=y)
-        data_t = forward(traj.state(-1))
-        raw = data0.angles() - data_t.angles()
-        fd = ((raw + np.pi) % (2.0 * np.pi) - np.pi) / t
-        assert np.max(np.abs(fd - omega) / np.abs(omega)) < 1e-5
-
-
 def test_hierarchy_exact_matches_direct_rank_one():
     u = resize_symbol(Symbol(np.array([0.5])), 8)
     cmp = compare_flows(u, 0.05, 1e-4, y=1.0)
@@ -82,7 +66,7 @@ def test_hierarchy_exact_matches_direct_rank_one():
 def test_hierarchy_field_rank_one_direction():
     # constant symbol alpha: field = 2 i y alpha / (1 + y alpha^2)^2
     alpha, y = 0.5, 1.0
-    field = hierarchy_field(resize_symbol(Symbol(np.array([alpha])), 8), y)
+    field = szego_rhs(resize_symbol(Symbol(np.array([alpha])), 8), y)
     expect = 2j * y * alpha / (1.0 + y * alpha ** 2) ** 2
     assert abs(field.coeffs[0] - expect) < 1e-12
     assert np.max(np.abs(field.coeffs[1:])) < 1e-12
@@ -90,9 +74,9 @@ def test_hierarchy_field_rank_one_direction():
 
 def test_hierarchy_rejects_nonpositive_y(hand_symbol):
     with pytest.raises(InputError):
-        hierarchy_field(resize_symbol(hand_symbol, 8), 0.0)
+        szego_rhs(resize_symbol(hand_symbol, 8), 0.0)
     with pytest.raises(InputError):
-        hierarchy_exact_evolve(forward(hand_symbol), -1.0, 0.1)
+        exact_evolve(forward(hand_symbol), 0.1, -1.0)
 
 
 def test_traveling_wave_hand_report():
