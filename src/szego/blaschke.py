@@ -54,6 +54,8 @@ class BlaschkeProduct:
     p: Poly
 
     def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise InputError(f"Blaschke angle must be finite, got {self.angle}")
         psi = normalize_angle(self.angle)
         p = self.p
         if p.degree < 0:

@@ -39,6 +39,8 @@ def _pairs_to_complex(obj, what: str) -> np.ndarray:
         raise InputError(f"{what}: expected a list of [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise InputError(f"{what}: expected a nonempty list of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what}: values must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -1,10 +1,11 @@
 """The forward spectral map: symbol to interlaced values and inner factors.
 
 Pipeline: diagonalize both Hermitian squares of the truncated pair,
-group nearly equal eigenvalues into multiplicity clusters, decide for each
-cluster whether the symbol projects onto it (plain side or shifted side),
-and recover the inner factor of each essential cluster from the pointwise
-ratio of the projection against the antilinear image of the projection.
+group nearly equal eigenvalues into multiplicity clusters, pair the plain
+and shifted clusters of each value and keep the side one dimension larger,
+onto which the symbol projects, and recover the inner factor of each such
+essential cluster from the pointwise ratio of the projection against the
+antilinear image of the projection.
 
 The essential values strictly interlace, plain side first.  An odd count
 means the zero singular value sits on the shifted side; it is detected but
@@ -23,8 +24,8 @@ from .algebra import conj_reflect, fit_rational_samples, grid_transform, next_po
 from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (DENSE_EIG_MAX, Symbol, _check_ku2, apply_H, apply_K,
-                     build_pair, check_shifted_square, dense_hankel,
+from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, apply_H,
+                     apply_K, build_pair, check_shifted_square, dense_hankel,
                      hermitian_eigs, shifted_coeffs, square_operator)
 
 CLUSTER_REL_TOL = 1e-6
@@ -68,6 +69,8 @@ class SpectralData:
         s = np.asarray(self.s, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise InputError("spectral data needs at least one singular value")
+        if not np.all(np.isfinite(s)):
+            raise InputError("singular values must be finite")
         if np.any(s <= 0.0):
             raise InputError("stored singular values must be positive")
         if np.any(np.diff(s) >= -1e-12 * s[0]):
@@ -116,38 +119,30 @@ class SpectralData:
         return np.array([b.angle for b in self.psi])
 
 
-def cluster_eigenvalues(eigs: np.ndarray):
+def _tol(value: float, top: float) -> float:
+    """Distance within which eigenvalues near value count as equal."""
+    return CLUSTER_REL_TOL * value + ZERO_FLOOR_REL * top
+
+
+def cluster_eigenvalues(eigs: np.ndarray, top: float):
     """Group the positive descending eigenvalues into multiplicity clusters.
 
-    Adjacent values within CLUSTER_REL_TOL of the largest eigenvalue merge;
-    values below the absolute floor 1e-12 * max are the kernel and form no
-    cluster.  Returns a list of (mean value, index list).  A gap between
-    clusters below 3 * CLUSTER_REL_TOL * max triggers an ambiguity warning.
+    top is s_1**2, the top of the plain square, for both squares.  Adjacent
+    values merge when their gap is within _tol of the larger one; values at
+    or below ZERO_FLOOR_REL * top are the kernel and form no cluster.  A
+    gap between clusters below 3 * _tol triggers an ambiguity warning.
+    Returns a list of (mean value, index array).
     """
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0 or eigs[0] <= 0.0:
-        return []
-    top = eigs[0]
-    scale = CLUSTER_REL_TOL * top
-    clusters = []
-    current = [0]
-    positive_count = int(np.sum(eigs > ZERO_FLOOR_REL * top))
-    for i in range(1, positive_count):
-        if eigs[i - 1] - eigs[i] <= scale:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if positive_count:
-        clusters.append(current)
-    out = [(float(np.mean(eigs[idx])), idx) for idx in clusters]
-    for a, b in zip(out[:-1], out[1:]):
-        gap = eigs[a[1][-1]] - eigs[b[1][0]]
-        if gap < AMBIGUOUS_GAP_FACTOR * scale:
-            warnings.warn(
-                f"cluster gap {gap:.3e} is within 3x the grouping tolerance",
-                AmbiguousClusterWarning, stacklevel=2)
-    return out
+    eigs = eigs[eigs > ZERO_FLOOR_REL * top]
+    gaps, tols = -np.diff(eigs), _tol(eigs[:-1], top)
+    cuts = np.flatnonzero(gaps > tols)
+    for gap in gaps[cuts][gaps[cuts] < AMBIGUOUS_GAP_FACTOR * tols[cuts]]:
+        warnings.warn(
+            f"cluster gap {gap:.3e} is within 3x the grouping tolerance",
+            AmbiguousClusterWarning, stacklevel=2)
+    groups = np.split(np.arange(eigs.size), cuts + 1) if eigs.size else []
+    return [(float(np.mean(eigs[idx])), idx) for idx in groups]
 
 
 def _enrich(raw, vectors, u_coeffs, norm_u, kind):
@@ -171,14 +166,13 @@ def sigma_membership(u: Symbol):
     Up to 512 modes the dense pair is fully diagonalized; above that, the
     matrix-free squares give their top rank bound + 2 eigenpairs (64 for
     a non-rational symbol) by Lanczos.  One pass down both descending
-    cluster lists pairs a plain and a shifted cluster within the match
-    tolerance as one value (an unmatched cluster has a match of dimension
-    0).  Every value the symbol sees must be a member on exactly one side,
-    with a cluster there one dimension larger than its match, and these
-    essential values must alternate plain/shifted/plain/... from the top;
-    anything else raises SpectralInconsistencyError.  Returns (clusters_h,
-    clusters_k, essential); an odd essential count puts the zero value on
-    the shifted side.
+    cluster lists pairs a plain and a shifted cluster within _tol as one
+    value (an unmatched cluster has a match of dimension 0).  As the paper
+    proves, the two dimensions differ by exactly one; the larger side is
+    essential, the smaller must not see the symbol, and the essential
+    values alternate plain/shifted/plain/... from the top, or
+    SpectralInconsistencyError is raised.  Returns (clusters_h, clusters_k,
+    essential); an odd essential count puts the zero on the shifted side.
     """
     norm_u = u.l2_norm
     n = u.n_modes
@@ -193,41 +187,44 @@ def sigma_membership(u: Symbol):
             k = min(bound + 2, n - 2)
         else:
             k = min(64, n - 2)
+        kc = shifted_coeffs(u)
         h2 = square_operator(u.coeffs)
-        k2 = square_operator(shifted_coeffs(u))
+        k2 = square_operator(kc)
         es_h = hermitian_eigs(h2, k=k)
         check_shifted_square(h2, k2, u.coeffs, es_h.values[0])
-        es_k = hermitian_eigs(k2, k=k)
-    clusters_h = _enrich(cluster_eigenvalues(es_h.values), es_h.vectors,
+        # Lanczos cannot start on the zero operator of a constant symbol
+        es_k = (hermitian_eigs(k2, k=k) if kc.any() else
+                EigenSystem(np.zeros(0), np.zeros((n, 0), complex), 0.0, 0.0))
+    top = es_h.values[0]
+    clusters_h = _enrich(cluster_eigenvalues(es_h.values, top), es_h.vectors,
                          u.coeffs, norm_u, "H")
-    clusters_k = _enrich(cluster_eigenvalues(es_k.values), es_k.vectors,
+    clusters_k = _enrich(cluster_eigenvalues(es_k.values, top), es_k.vectors,
                          u.coeffs, norm_u, "K")
 
-    match_tol = CLUSTER_REL_TOL * max(es_h.values[0], 1e-300)
     essential = []
     i = j = 0
     while i < len(clusters_h) or j < len(clusters_k):
         ch = clusters_h[i] if i < len(clusters_h) else None
         ck = clusters_k[j] if j < len(clusters_k) else None
         # the larger cluster stands alone unless the other one matches it
-        if ck is None or (ch is not None and ch.value > ck.value + match_tol):
-            ck = None
-        elif ch is None or ck.value > ch.value + match_tol:
-            ch = None
+        if ch is not None and ck is not None:
+            tol = _tol(max(ch.value, ck.value), top)
+            if ch.value > ck.value + tol:
+                ck = None
+            elif ck.value > ch.value + tol:
+                ch = None
         i += ch is not None
         j += ck is not None
-        if ch is not None and ck is not None and ch.member and ck.member:
+        dim_h, dim_k = (c.dim if c is not None else 0 for c in (ch, ck))
+        ess, other = (ch, ck) if dim_h > dim_k else (ck, ch)
+        if abs(dim_h - dim_k) != 1:
             raise SpectralInconsistencyError(
-                f"value {ch.s:.6g} claims membership on both sides")
-        ess, other = (ch, ck) if ch is not None and ch.member else (ck, ch)
-        if ess is None or not ess.member:
-            continue
-        side = "plain" if ess.kind == "H" else "shifted"
-        dim_other = other.dim if other is not None else 0
-        if ess.dim - dim_other != 1:
-            raise SpectralInconsistencyError(
-                f"essential {side} value {ess.s:.6g}: dims {ess.dim} vs {dim_other} "
+                f"value {ess.s:.6g}: plain and shifted dims {dim_h} vs {dim_k} "
                 "(difference must be 1)")
+        if other is not None and other.member:
+            raise SpectralInconsistencyError(
+                f"value {ess.s:.6g} claims membership on both sides")
+        side = "plain" if ess.kind == "H" else "shifted"
         if ess.kind != "HK"[len(essential) % 2]:
             raise SpectralInconsistencyError(
                 f"essential {side} value {ess.s:.6g} breaks the "

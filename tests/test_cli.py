@@ -159,6 +159,22 @@ def test_inconsistent_spectral_file_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_spectral_file_is_an_input_error(tmp_path, capsys):
+    # json reads NaN; the angle must not vanish into an all-zero symbol
+    path = tmp_path / "nan.json"
+    path.write_text('{"version": 1, "data": [{"s": 1.0, "psi": NaN, '
+                    '"P": [[1.0, 0.0]]}]}')
+    assert main(["synthesize", str(path), "--out", str(tmp_path / "u.json")]) == 2
+    assert not (tmp_path / "u.json").exists()
+    capsys.readouterr()
+
+
+def test_constant_symbol_above_the_dense_cutoff(tmp_path, capsys):
+    u_path = write_symbol(tmp_path / "const.json", [0.5])
+    assert main(["analyze", u_path, "--trunc", "1024"]) == 0
+    assert "s_1 = 0.5" in capsys.readouterr().out
+
+
 def test_console_script_entry_point(tmp_path):
     u_path = write_symbol(tmp_path / "u.json", [3.0, 2.0])
     # the child must import the same package, installed or not

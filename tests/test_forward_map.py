@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,13 @@ from szego import forward_map
 from szego.algebra import Poly, RationalFunction
 from szego.bateman import kappa_squares, tau_squares
 from szego.blaschke import BlaschkeProduct, from_zeros
-from szego.errors import InputError, SpectralInconsistencyError
-from szego.forward_map import SpectralData, forward, real_diagnostics
+from szego.errors import (AmbiguousClusterWarning, InputError, NumericalError,
+                          SpectralInconsistencyError)
+from szego.forward_map import (SpectralData, cluster_eigenvalues, forward,
+                               real_diagnostics)
 from szego.hankel import DENSE_EIG_MAX, EigenSystem, Symbol, resize_symbol
-from szego.inverse_map import fourvalue_formula
-from szego.verify import random_spectral_data
+from szego.inverse_map import fourvalue_formula, synthesize
+from szego.verify import random_blaschke, random_spectral_data
 
 CIRCLE = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 17)[:-1])
 
@@ -139,6 +142,15 @@ def test_matrix_free_path_rank_one_closed_form():
     assert np.max(np.abs(data.s - expect)) < 1e-9 * expect[0]
 
 
+def test_constant_symbol_above_the_dense_cutoff():
+    # the shifted square is the zero operator, which Lanczos cannot start on
+    u = resize_symbol(Symbol(np.array([0.5])), 1024)
+    assert u.n_modes > DENSE_EIG_MAX
+    data = forward(u)
+    assert data.n == 1
+    assert abs(data.s[0] - 0.5) < 1e-12
+
+
 def test_matrix_free_path_repeats_bitwise():
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.962])))
     first, second = forward(u), forward(u)
@@ -161,8 +173,8 @@ def _eigensystem(values, order):
     # u = e0 sees the plain value 4, whose shifted match has the same dimension
     ([1.0, 0.0, 0.0, 0.0], [4, 0, 0, 0], [4, 0, 0, 0], [1, 0, 2, 3],
      "dims 1 vs 1"),
-    # u = e0 sees the value 4 on both sides
-    ([1.0, 0.0, 0.0, 0.0], [4, 0, 0, 0], [4, 0, 0, 0], [0, 1, 2, 3],
+    # u = e0 sees the plain value 4 of dimension 2 and its shifted match
+    ([1.0, 0.0, 0.0, 0.0], [4, 4, 0, 0], [4, 0, 0, 0], [0, 1, 2, 3],
      "both sides"),
 ])
 def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
@@ -173,3 +185,57 @@ def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
     monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
     with pytest.raises(SpectralInconsistencyError, match=rule):
         forward(Symbol(np.array(coeffs, dtype=complex)))
+
+
+def test_cluster_rule_is_relative_to_the_larger_value():
+    top = 1.0
+    v = 1e-2
+    tol = 1e-6 * v + 1e-12 * top       # CLUSTER_REL_TOL * v + ZERO_FLOOR_REL * top
+
+    def groups(eigs):
+        return [idx.tolist() for _, idx in cluster_eigenvalues(eigs, top)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert groups([top, v, v - 0.9 * tol]) == [[0], [1, 2]]
+        assert groups([top, v, v - 3.5 * tol]) == [[0], [1], [2]]
+        # values at or below 1e-12 * top are the kernel
+        assert groups([top, 2e-12, 1e-12, 0.0]) == [[0], [1]]
+    with pytest.warns(AmbiguousClusterWarning):
+        assert groups([top, v, v - 2.0 * tol]) == [[0], [1], [2]]
+    value, _ = cluster_eigenvalues([top, v, v - 0.9 * tol], top)[1]
+    assert value == np.mean([v, v - 0.9 * tol])
+
+
+def _wide_range_data(rng) -> SpectralData:
+    """s_1 = 1 and up to four values in (1e-5, 1), adjacent gaps of 10% or more."""
+    n = int(rng.integers(1, 6))
+    while True:
+        s = np.concatenate([[1.0], np.sort(10.0 ** rng.uniform(-5.0, 0.0, n - 1))[::-1]])
+        if np.all(s[1:] <= 0.9 * s[:-1]):
+            break
+    return SpectralData(s, tuple(random_blaschke(rng, 1) for _ in range(n)))
+
+
+def test_forward_never_returns_a_shorter_spectrum():
+    # every data set comes back whole on the dense and the matrix-free
+    # path, or the analysis raises a named numerical error
+    rng = np.random.default_rng(0)
+    whole = 0
+    for _ in range(60):
+        data = _wide_range_data(rng)
+        try:
+            u = synthesize(data).u
+        except NumericalError:
+            continue
+        for v in (u, resize_symbol(u, 1024)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", AmbiguousClusterWarning)
+                    back = forward(v)
+            except NumericalError:
+                continue
+            assert back.n == data.n
+            assert np.all(np.abs(back.s - data.s) <= 1e-6 * data.s)
+            whole += 1
+    assert whole >= 110

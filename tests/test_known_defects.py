@@ -1,13 +1,15 @@
-"""Known defects of the forward and inverse maps, pinned as strict xfails.
+"""Round trips at the edge of the input range, two of them known defects.
 
 Every case is valid interlaced spectral data that the paper's bijection
 covers, or a real symbol the self-adjoint theory covers, so each test
-asserts the correct behavior.  They fail today
-because clustering works to an absolute tolerance in s**2 (a zero floor
-of 1e-12 s_1**2 and a merge distance of 1e-6 s_1**2), and because the
-determinant of a long geometric spectrum loses the precision its root
-certificate needs.  A fix turns a test into an unexpected pass, which
-fails the suite until its marker is removed.
+asserts the correct behavior.  Two are strict xfails: clustering works in
+s**2, so a value below the zero floor of 1e-12 s_1**2 (s below 1e-6 s_1)
+is lost, and the determinant of a long geometric spectrum loses the
+precision its root certificate needs.  A fix turns such a test into an
+unexpected pass, which fails the suite until its marker is removed.  The
+other cases hold small values that a merge distance of 1e-6 s_1**2 would
+join across the two sides; the merge distance relative to each value
+keeps them apart.
 """
 
 import warnings
@@ -17,7 +19,7 @@ import pytest
 
 from szego.algebra import RationalFunction
 from szego.blaschke import BlaschkeProduct
-from szego.errors import HypothesisViolationError, SpectralInconsistencyError
+from szego.errors import HypothesisViolationError
 from szego.forward_map import SpectralData, forward, real_diagnostics
 from szego.hankel import Symbol
 from szego.inverse_map import synthesize
@@ -38,8 +40,6 @@ def assert_round_trip(data: SpectralData):
     assert np.max(np.abs(back.s - data.s)) < 1e-6 * data.s[0]
 
 
-@pytest.mark.xfail(strict=True, raises=SpectralInconsistencyError,
-                   reason="small values merge across the two sides")
 def test_wide_dynamic_range_round_trips():
     assert_round_trip(constant_factors([1.0, 0.5, 1e-3, 5e-4], [0.0] * 4))
 
@@ -52,8 +52,6 @@ def test_value_below_the_zero_floor_is_not_dropped():
     assert back.n == 3
 
 
-@pytest.mark.xfail(strict=True, raises=SpectralInconsistencyError,
-                   reason="the tail of a long geometric spectrum merges")
 def test_long_geometric_spectrum_round_trips():
     assert_round_trip(constant_factors(GEOMETRIC, 2.4 * np.arange(32)))
 
@@ -64,9 +62,6 @@ def test_long_geometric_spectrum_synthesizes():
     assert_round_trip(constant_factors(GEOMETRIC, [0.0] * 32))
 
 
-@pytest.mark.xfail(strict=True, raises=SpectralInconsistencyError,
-                   reason="s ~ (1.80, 1.08, 1.73e-3, 5.13e-4): small values "
-                          "merge across the two sides")
 def test_real_symbol_with_wide_dynamic_range_passes_diagnostics():
     # case #17 of `szego verify --suite real --seed 0`
     u = Symbol.from_rational(RationalFunction.from_coeff_lists(
