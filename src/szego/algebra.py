@@ -176,6 +176,22 @@ def root_free_on_closed_disc(p: Poly, margin: float = 0.0) -> bool:
     return is_schur(c[1:] / c[0])
 
 
+def series_divide(rhs: np.ndarray, den: Poly) -> np.ndarray:
+    """Solve den * c = rhs modulo z**n for each column of the (n, k) rhs.
+
+    den(0) = 1, so this is a unit lower-triangular band Toeplitz system:
+    one LAPACK banded forward substitution (ztbtrs, no pivoting) runs the
+    coefficient recurrence on all columns.  The Fortran-ordered complex
+    rhs is overwritten.
+    """
+    n = rhs.shape[0]
+    d = min(den.degree, n - 1)
+    if d >= 1:
+        band = np.repeat(den.coeffs[: d + 1, None], n, axis=1)
+        rhs, _ = ztbtrs(band, rhs, uplo="L", diag="U", overwrite_b=True)
+    return rhs
+
+
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
     """Quotient num/den of polynomials, analytic on the closed unit disc.
@@ -213,21 +229,20 @@ class RationalFunction:
     def __call__(self, z):
         return self.num(z) / self.den(z)
 
+    @property
+    def rank_bound(self) -> int:
+        """max(deg den, deg num + 1): the Hankel rank when num, den are coprime."""
+        return max(self.den.degree, self.num.degree + 1)
+
     def taylor(self, n: int) -> np.ndarray:
         """First n Taylor coefficients at 0.
 
-        They solve den * c = num modulo z**n, a unit lower-triangular band
-        Toeplitz system (den(0) = 1).  LAPACK's banded forward substitution
-        (ztbtrs, no pivoting) runs the standard coefficient recurrence.
+        They solve den * c = num modulo z**n (series_divide).
         """
         c = np.zeros((n, 1), dtype=complex)
         m = min(n, self.num.coeffs.size)
         c[:m, 0] = self.num.coeffs[:m]
-        d = min(self.den.degree, n - 1)
-        if d >= 1:
-            band = np.repeat(self.den.coeffs[: d + 1, None], n, axis=1)
-            c, _ = ztbtrs(band, c, uplo="L", diag="U", overwrite_b=True)
-        return c[:, 0]
+        return series_divide(c, self.den)[:, 0]
 
     @staticmethod
     def from_coeff_lists(num, den, check_coprime: bool = True) -> "RationalFunction":

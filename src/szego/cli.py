@@ -157,6 +157,8 @@ def cmd_analyze(args) -> int:
     tau2 = tau_squares(interlaced)
     kap2 = kappa_squares(interlaced)
     print(f"symbol: {u.n_modes} modes, |u| = {u.l2_norm:.12g}")
+    core = "" if details.core_size is None else f", core m = {details.core_size}"
+    print(f"forward path: {details.path}{core}")
     print(f"spectral values: n = {data.n}")
     h_idx = k_idx = 0
     bateman_gap = 0.0

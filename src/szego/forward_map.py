@@ -15,7 +15,7 @@ never stored, so the spectral data holds positive values only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,33 +160,56 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
     return clusters
 
 
-def sigma_membership(u: Symbol):
+@dataclass(frozen=True, eq=False)
+class ForwardDetails:
+    """Inspection payload accompanying a forward analysis.
+
+    path is "rational" (the m x m core of the exact section, m = core_size),
+    "dense" (both N x N squares, core_size None) or "lanczos" (the top
+    eigenpairs of the matrix-free squares, core_size None).
+    """
+
+    clusters_h: list
+    clusters_k: list
+    essential: list        # MultiplicityCluster per stored singular value
+    path: str
+    core_size: int | None
+
+    @property
+    def zero_in_shifted(self) -> bool:
+        return len(self.essential) % 2 == 1
+
+
+def sigma_membership(u: Symbol) -> ForwardDetails:
     """Cluster both squares and walk them once for the essential values.
 
-    Up to 512 modes the dense pair is fully diagonalized; above that, the
-    matrix-free squares give their top rank bound + 2 eigenpairs (64 for
-    a non-rational symbol) by Lanczos.  One pass down both descending
-    cluster lists pairs a plain and a shifted cluster within _tol as one
-    value (an unmatched cluster has a match of dimension 0).  As the paper
-    proves, the two dimensions differ by exactly one; the larger side is
+    A symbol with a rational form, at any N, goes through build_pair's
+    m x m core, whose eigenvectors y are lifted to F y on the frame.  A
+    coefficient-only symbol is fully diagonalized as a dense pair up to
+    512 modes; above that, its matrix-free squares give their top 64
+    eigenpairs by Lanczos.  One pass down both descending cluster lists
+    pairs a plain and a shifted cluster within _tol as one value (an
+    unmatched cluster has a match of dimension 0).  As the paper proves,
+    the two dimensions differ by exactly one; the larger side is
     essential, the smaller must not see the symbol, and the essential
     values alternate plain/shifted/plain/... from the top, or
-    SpectralInconsistencyError is raised.  Returns (clusters_h, clusters_k,
-    essential); an odd essential count puts the zero on the shifted side.
+    SpectralInconsistencyError is raised.  An odd essential count puts
+    the zero on the shifted side.
     """
     norm_u = u.l2_norm
     n = u.n_modes
-    if n <= DENSE_EIG_MAX:
+    if u.rational is not None or n <= DENSE_EIG_MAX:
         pair = build_pair(u)
         es_h = hermitian_eigs(pair.h2)
         _check_ku2(pair.ku2_residual, es_h.values[0])
         es_k = hermitian_eigs(pair.k2)
+        path, core_size = "dense", None
+        if pair.frame is not None:
+            path, core_size = "rational", pair.frame.shape[1]
+            es_h, es_k = (replace(es, vectors=pair.frame @ es.vectors)
+                          for es in (es_h, es_k))
     else:
-        if u.rational is not None:
-            bound = max(u.rational.den.degree, u.rational.num.degree + 1)
-            k = min(bound + 2, n - 2)
-        else:
-            k = min(64, n - 2)
+        k = min(64, n - 2)
         kc = shifted_coeffs(u)
         h2 = square_operator(u.coeffs)
         k2 = square_operator(kc)
@@ -195,6 +218,7 @@ def sigma_membership(u: Symbol):
         # Lanczos cannot start on the zero operator of a constant symbol
         es_k = (hermitian_eigs(k2, k=k) if kc.any() else
                 EigenSystem(np.zeros(0), np.zeros((n, 0), complex), 0.0, 0.0))
+        path, core_size = "lanczos", None
     top = es_h.values[0]
     clusters_h = _enrich(cluster_eigenvalues(es_h.values, top), es_h.vectors,
                          u.coeffs, norm_u, "H")
@@ -238,7 +262,7 @@ def sigma_membership(u: Symbol):
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    return clusters_h, clusters_k, essential
+    return ForwardDetails(clusters_h, clusters_k, essential, path, core_size)
 
 
 def fit_circle_ratio(num_vec: np.ndarray, den_vec: np.ndarray, d: int):
@@ -307,32 +331,19 @@ def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
     return b
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardDetails:
-    """Inspection payload accompanying a forward analysis."""
-
-    clusters_h: list
-    clusters_k: list
-    essential: list        # MultiplicityCluster per stored singular value
-
-    @property
-    def zero_in_shifted(self) -> bool:
-        return len(self.essential) % 2 == 1
-
-
 def forward(u: Symbol, details: bool = False):
     """Full spectral analysis of a symbol.
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
-    is requested.  Truncations above 512 modes form no N x N matrix (see
-    sigma_membership).
+    is requested.  A rational symbol, and a coefficient-only one above
+    512 modes, forms no N x N matrix (see sigma_membership).
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
-    clusters_h, clusters_k, essential = sigma_membership(u)
-    values = np.array([c.s for c in essential])
+    info = sigma_membership(u)
+    values = np.array([c.s for c in info.essential])
     psi = []
-    for c in essential:
+    for c in info.essential:
         proj = c.projection_of_u
         if c.kind == "H":
             b = extract_blaschke(c.s * proj, apply_H(u, proj), c.dim)
@@ -340,9 +351,7 @@ def forward(u: Symbol, details: bool = False):
             b = extract_blaschke(apply_K(u, proj), c.s * proj, c.dim)
         psi.append(b)
     data = SpectralData(values, tuple(psi))
-    if details:
-        return data, ForwardDetails(clusters_h, clusters_k, essential)
-    return data
+    return (data, info) if details else data
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,10 +8,19 @@ positive semidefinite and satisfy the exact truncation identity
 
     (shifted square) = (square) - outer(u, conj(u)).
 
-Matvecs run in O(N log N) through circulant embedding.  Up to N = 512
-the squares are formed densely and fully diagonalized by one LAPACK
-eigensolve; above that they stay matrix-free operators whose top
-eigenpairs come from Lanczos.
+Matvecs run in O(N log N) through circulant embedding.
+
+A symbol with a rational form is analyzed on the exact N x N section
+c_{i+j} and its shift c_{i+j+1}.  Both have rank at most
+m = max(deg den, deg num + 1) (Kronecker) and factor through the range
+of the N x m observability strip O, whose column j holds the Taylor
+coefficients of (den z**j mod z**m) / den: the sequence n -> c_{n+j}
+obeys the denominator's recurrence from n = m on, so c_{i+j} is
+sum_k O[i, k] c_{k+j}.  One thin QR O = F T puts both squares on the
+orthonormal frame F as m x m matrices, in O(N m**2).  A coefficient-only
+symbol is formed densely up to N = 512 and fully diagonalized by one
+LAPACK eigensolve; above that its squares stay matrix-free operators
+whose top eigenpairs come from Lanczos.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .algebra import Poly, RationalFunction, grid_transform, next_pow2
+from .algebra import Poly, RationalFunction, grid_transform, next_pow2, series_divide
 from .errors import ConsistencyError, InputError, NumericalError
 
 DENSE_EIG_MAX = 512
@@ -100,8 +109,7 @@ class Symbol:
         symbols are exact at any size, so no doubling occurs; an explicit
         n_modes is taken as given.
         """
-        rank_bound = max(rf.den.degree, rf.num.degree + 1)
-        n = n_modes if n_modes is not None else max(4 * max(rank_bound, 1), 32)
+        n = n_modes if n_modes is not None else max(4 * max(rf.rank_bound, 1), 32)
         n = max(n, rf.num.degree + 1, 2)
         # lacunary series (denominator in z**m) have exact zeros between
         # live coefficients, so the tail is judged over a window of the
@@ -194,14 +202,17 @@ def dense_hankel(c: np.ndarray) -> np.ndarray:
     return scipy.linalg.hankel(c, np.concatenate([c[-1:], np.zeros(c.size - 1)]))
 
 
-def dense_square(c: np.ndarray) -> np.ndarray:
-    """The Hermitian square G G* of dense_hankel(c), symmetrized."""
-    gamma = dense_hankel(c)
-    sq = gamma @ gamma.conj().T
-    # symmetrized in place: one N x N temporary fewer at the peak of build_pair
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a a*, symmetrized in place: one temporary fewer at the peak of build_pair."""
+    sq = a @ a.conj().T
     sq += sq.conj().T
     sq *= 0.5
     return sq
+
+
+def dense_square(c: np.ndarray) -> np.ndarray:
+    """The Hermitian square G G* of dense_hankel(c), symmetrized."""
+    return _gram(dense_hankel(c))
 
 
 def square_operator(c: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
@@ -249,12 +260,17 @@ def shifted_coeffs(u: Symbol) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HankelPair:
-    """Dense Hermitian squares of a symbol's truncated matrix and of its shift."""
+    """Dense Hermitian squares of a symbol's truncated matrix and of its shift.
+
+    With a frame F (N x m, orthonormal columns) the squares are m x m and
+    stand for F h2 F* and F k2 F*; without one they are N x N.
+    """
 
     symbol: Symbol
     h2: np.ndarray
     k2: np.ndarray
     ku2_residual: float
+    frame: np.ndarray | None = None
 
 
 def _check_ku2(residual: float, h2_norm: float) -> float:
@@ -265,19 +281,47 @@ def _check_ku2(residual: float, h2_norm: float) -> float:
     return residual
 
 
+def _rational_core(u: Symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame F and the m x m squares of the exact section and its shift.
+
+    O = F T is the thin QR of the N x m observability strip and R the
+    m x (N + 1) strip R[i, j] = c_{i+j}, so the section is F (T R0) and
+    its shift F (T R1), with R0, R1 the columns 0..N-1 and 1..N of R.
+    """
+    rf = u.rational
+    n, m = u.n_modes, rf.rank_bound
+    # column j starts as den z**j mod z**m: the lower triangle of den's Toeplitz
+    obs = np.zeros((n, m), dtype=complex, order="F")
+    top = min(n, m)
+    obs[:top] = scipy.linalg.toeplitz(rf.den.padded(m + 1)[:m], np.zeros(m))[:top]
+    frame, tri = np.linalg.qr(series_divide(obs, rf.den))
+    c = rf.taylor(n + m)
+    strip = tri @ scipy.linalg.hankel(c[:m], c[m - 1:])
+    return frame, _gram(strip[:, :n]), _gram(strip[:, 1:])
+
+
 def build_pair(u: Symbol) -> HankelPair:
     """Assemble the Hermitian squares of the plain and shifted matrices.
 
-    The identity k2 = h2 - outer(u, conj(u)) holds exactly on the
-    truncation; its numerical (Frobenius) residual is stored.  It must
-    stay below 1e-10 times the norm of h2, which is the top eigenvalue
-    of h2: the caller that diagonalizes h2 checks it (_check_ku2).
+    A symbol with a rational form gets both squares of its exact N x N
+    section on the frame F of the section's range (_rational_core), as
+    m x m matrices; a coefficient-only symbol gets the N x N squares of
+    its zero-padded truncation.  The identity k2 = h2 - outer(b, conj(b)),
+    with b = F* u on the frame and b = u without it, holds exactly on the
+    truncation and up to the section's tail c_N..c_{2N-1} on the exact
+    section; its numerical (Frobenius) residual is stored.  It must stay
+    below 1e-10 times the norm of h2, which is the top eigenvalue of h2:
+    the caller that diagonalizes h2 checks it (_check_ku2).
     """
-    h2 = dense_square(u.coeffs)
-    k2 = dense_square(shifted_coeffs(u))
-    gap = h2 - np.outer(u.coeffs, np.conj(u.coeffs))
+    if u.rational is None:
+        frame, b = None, u.coeffs
+        h2, k2 = dense_square(u.coeffs), dense_square(shifted_coeffs(u))
+    else:
+        frame, h2, k2 = _rational_core(u)
+        b = frame.conj().T @ u.coeffs
+    gap = h2 - np.outer(b, np.conj(b))
     gap -= k2
-    return HankelPair(u, h2, k2, float(np.linalg.norm(gap)))
+    return HankelPair(u, h2, k2, float(np.linalg.norm(gap)), frame)
 
 
 def check_shifted_square(h2, k2, c: np.ndarray, h2_norm: float) -> float:

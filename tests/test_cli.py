@@ -75,6 +75,18 @@ def test_analyze_prints_spectrum(tmp_path, capsys):
     assert "energy:" in out
 
 
+@pytest.mark.parametrize("write, args, line", [
+    (lambda p: write_rational(p, [0.75], [1.0, -0.5]), [], "rational, core m = 1"),
+    (lambda p: write_rational(p, [0.75], [1.0, -0.5]), ["--trunc", "1024"],
+     "rational, core m = 1"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), [], "dense"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), ["--trunc", "1024"], "lanczos"),
+], ids=["rational", "rational-1024", "dense", "lanczos"])
+def test_analyze_prints_the_path(tmp_path, capsys, write, args, line):
+    assert main(["analyze", write(tmp_path / "u.json"), *args]) == 0
+    assert f"forward path: {line}\n" in capsys.readouterr().out
+
+
 def test_roundtrip_command(tmp_path, capsys):
     u_path = write_symbol(tmp_path / "u.json", [3.0, 2.0])
     assert main(["roundtrip", u_path]) == 0

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from szego import forward_map
+from szego import forward_map, hankel
 from szego.algebra import Poly, RationalFunction
 from szego.bateman import kappa_squares, tau_squares
 from szego.blaschke import BlaschkeProduct, from_zeros
@@ -132,9 +132,11 @@ def test_projection_norms_match_closed_forms():
 
 def test_matrix_free_path_rank_one_closed_form():
     # 1/(1 - r z) has s = 1/(1 - r**2) on the plain side and r/(1 - r**2)
-    # on the shifted side; r = 0.962 resolves at N = 1024, above the cutoff
+    # on the shifted side; r = 0.962 resolves at N = 1024, above the cutoff,
+    # and the coefficients alone take the matrix-free path
     r = 0.962
-    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
+    u = Symbol(Symbol.from_rational(
+        RationalFunction(Poly([1.0]), Poly([1.0, -r]))).coeffs)
     assert u.n_modes == 1024 > DENSE_EIG_MAX
     data = forward(u)
     expect = np.array([1.0, r]) / (1.0 - r * r)
@@ -152,12 +154,46 @@ def test_constant_symbol_above_the_dense_cutoff():
 
 
 def test_matrix_free_path_repeats_bitwise():
-    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.962])))
+    u = Symbol(Symbol.from_rational(
+        RationalFunction(Poly([1.0]), Poly([1.0, -0.962]))).coeffs)
     first, second = forward(u), forward(u)
     assert np.array_equal(first.s, second.s)
     assert np.array_equal(first.angles(), second.angles())
     for a, b in zip(first.psi, second.psi):
         assert np.array_equal(a.p.coeffs, b.p.coeffs)
+
+
+def test_rational_core_matches_the_dense_path():
+    # the m x m core of the exact section against both dense N x N squares
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        _, result = random_spectral_data(rng, min_root=1.1)
+        core, details = forward(result.u, details=True)
+        dense = forward(Symbol(result.u.coeffs))
+        assert details.path == "rational"
+        assert details.core_size == result.total_degree
+        assert core.n == dense.n
+        assert np.max(np.abs(core.s - dense.s) / dense.s) < 1e-12
+        for a, b in zip(core.psi, dense.psi):
+            assert abs(np.angle(np.exp(1j * (a.angle - b.angle)))) < 1e-10
+            assert a.degree == b.degree
+            assert np.max(np.abs(a.p.coeffs - b.p.coeffs)) < 1e-10
+
+
+@pytest.mark.parametrize("r, n_modes", [(0.98, 2048), (0.99, 4096)])
+def test_rational_core_near_the_circle_forms_no_large_square(monkeypatch, r, n_modes):
+    def refuse(c):
+        raise AssertionError("an N x N square or operator was formed")
+
+    monkeypatch.setattr(hankel, "dense_square", refuse)
+    monkeypatch.setattr(forward_map, "square_operator", refuse)
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
+    assert u.n_modes == n_modes
+    data, details = forward(u, details=True)
+    assert (details.path, details.core_size) == ("rational", 1)
+    expect = np.array([1.0, r]) / (1.0 - r * r)
+    assert data.n == 2
+    assert np.max(np.abs(data.s - expect) / expect) < 1e-12
 
 
 def _eigensystem(values, order):
@@ -180,7 +216,8 @@ def _eigensystem(values, order):
 def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
                                                k_vals, k_order, rule):
     pair = SimpleNamespace(h2=_eigensystem(h_vals, [0, 1, 2, 3]),
-                           k2=_eigensystem(k_vals, k_order), ku2_residual=0.0)
+                           k2=_eigensystem(k_vals, k_order), ku2_residual=0.0,
+                           frame=None)
     monkeypatch.setattr(forward_map, "build_pair", lambda u: pair)
     monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
     with pytest.raises(SpectralInconsistencyError, match=rule):
@@ -218,24 +255,27 @@ def _wide_range_data(rng) -> SpectralData:
 
 
 def test_forward_never_returns_a_shorter_spectrum():
-    # every data set comes back whole on the dense and the matrix-free
-    # path, or the analysis raises a named numerical error
+    # every data set comes back whole on the rational core, the dense and
+    # the matrix-free path, or the analysis raises a named numerical error
     rng = np.random.default_rng(0)
-    whole = 0
+    paths = {"rational": lambda u: u, "dense": lambda u: Symbol(u.coeffs),
+             "lanczos": lambda u: Symbol(resize_symbol(u, 1024).coeffs)}
+    whole = dict.fromkeys(paths, 0)
     for _ in range(60):
         data = _wide_range_data(rng)
         try:
             u = synthesize(data).u
         except NumericalError:
             continue
-        for v in (u, resize_symbol(u, 1024)):
+        for path, symbol_of in paths.items():
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", AmbiguousClusterWarning)
-                    back = forward(v)
+                    back, details = forward(symbol_of(u), details=True)
             except NumericalError:
                 continue
+            assert details.path == path
             assert back.n == data.n
             assert np.all(np.abs(back.s - data.s) <= 1e-6 * data.s)
-            whole += 1
-    assert whole >= 110
+            whole[path] += 1
+    assert min(whole.values()) >= 55

@@ -56,6 +56,22 @@ def test_shifted_square_identity(rng):
     assert np.max(np.abs(pair.k2 - (pair.h2 - correction))) < 1e-10
 
 
+@pytest.mark.parametrize("n_modes", [64, 2])
+def test_rational_pair_is_the_exact_section_on_its_frame(n_modes):
+    # rank 3; at 2 modes the frame spans the whole (2-dimensional) space
+    rf = RationalFunction(Poly([1.0, 0.5j]), Poly([1.0, -0.9, 0.3, -0.1j]))
+    u = Symbol.from_rational(rf, n_modes=n_modes)
+    pair = build_pair(u)
+    c = rf.taylor(2 * n_modes + 1)
+    f = pair.frame
+    assert f.shape == (n_modes, min(n_modes, 3)) == (n_modes, pair.h2.shape[0])
+    assert np.max(np.abs(f.conj().T @ f - np.eye(f.shape[1]))) < 1e-13
+    for sq, cc in ((pair.h2, c[:-1]), (pair.k2, c[1:])):
+        section = scipy.linalg.hankel(cc[:n_modes], cc[n_modes - 1: 2 * n_modes - 1])
+        want = section @ section.conj().T
+        assert np.max(np.abs(f @ sq @ f.conj().T - want)) < 1e-13 * np.max(np.abs(want))
+
+
 def test_matrix_free_shifted_square_identity(rng):
     c = rng.standard_normal(600) + 1j * rng.standard_normal(600)
     c *= 0.9 ** np.arange(600)
@@ -132,17 +148,19 @@ def test_hermitian_eigs_sees_asymmetry_in_the_last_block(rng, entry):
 
 def test_forward_checks_the_shifted_square_identity(monkeypatch, rank_one_symbol):
     # a k2 of another symbol, with its honest residual: the check after the
-    # eigensolve of h2 must reject it
+    # eigensolve of h2 must reject it (coefficient-only, so the pair is dense)
+    u = Symbol(rank_one_symbol.coeffs)
+
     def mismatched(u):
         pair = build_pair(u)
         k2 = build_pair(Symbol(2.0 * u.coeffs)).k2
         residual = np.linalg.norm(k2 - pair.h2 + np.outer(u.coeffs, np.conj(u.coeffs)))
         return HankelPair(u, pair.h2, k2, float(residual))
 
-    forward_map.forward(rank_one_symbol)
+    forward_map.forward(u)
     monkeypatch.setattr(forward_map, "build_pair", mismatched)
     with pytest.raises(ConsistencyError, match="shifted-square identity"):
-        forward_map.forward(rank_one_symbol)
+        forward_map.forward(u)
 
 
 def test_hermitian_eigs_dense_matrix_takes_no_k(rng):
