@@ -6,11 +6,17 @@ Schmidt vector h (H_u(h) = s h).  The quotient phi = h / conj(h) is
 unimodular on the circle; subtracting s times its analytic projection
 from u leaves a symbol whose Hankel matrix has rank k and distance
 exactly s_k from the original, which a dense SVD certifies.
+
+A symbol with a rational form is diagonalized on build_pair's m x m core
+of its exact section (Kronecker: the Hankel rank is at most m), whose
+eigenvectors are lifted to length N on the frame; no N x N square is
+formed before the certificate.  A coefficient-only symbol gets every
+eigenpair of the dense N x N square of its truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -20,8 +26,9 @@ from .algebra import (RationalFunction, conj_reflect, fit_rational_samples,
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import MultiplicityCluster, fit_circle_ratio
-from .hankel import (TRUNCATION_CAP, Symbol, apply_H, dense_square,
-                     exact_section, hermitian_eigs, resize_symbol)
+from .hankel import (TRUNCATION_CAP, EigenSystem, Symbol, _check_ku2, apply_H,
+                     build_pair, dense_square, exact_section, hermitian_eigs,
+                     lift_eigs, resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
 GAP_FLOOR_REL = 1e-8
@@ -42,22 +49,38 @@ class SchmidtVector:
     residual: float
 
 
+def _square_eigs(u: Symbol) -> tuple[EigenSystem, int | None]:
+    """Eigensystem of the plain square of u, and the core size m or None.
+
+    A symbol with a rational form is diagonalized on build_pair's m x m
+    core, whose eigenvectors are lifted to F y; a coefficient-only symbol
+    gets its dense N x N square.
+    """
+    if u.rational is None:
+        return hermitian_eigs(dense_square(u.coeffs)), None
+    pair = build_pair(u)
+    eigs = hermitian_eigs(pair.h2)
+    _check_ku2(pair.ku2_residual, eigs.values[0])
+    return lift_eigs(eigs, pair.frame), pair.frame.shape[1]
+
+
 def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
     """Symmetric Schmidt vector of the plain square of u at value s.
 
     Takes an eigenvector v of the square at s**2 and symmetrizes:
     h = v + (1/s) H_u(v), falling back to i v + (1/s) H_u(i v) when the
     first combination cancels (the two cannot both vanish in exact
-    arithmetic since their norms squared add to 4).
+    arithmetic since their norms squared add to 4).  s**2 must match an
+    eigenvalue to within 1e-6 of the top one, else InputError.
     """
     if s <= 0.0:
         raise InputError("Schmidt construction needs s > 0")
     if eigs is None:
-        eigs = hermitian_eigs(dense_square(u.coeffs))
+        eigs = _square_eigs(u)[0]
     vals = eigs.values
     idx = int(np.argmin(np.abs(vals - s * s)))
     top = float(vals[0]) if vals.size else 0.0
-    if abs(vals[idx] - s * s) > 1e-6 * max(top, 1.0):
+    if abs(vals[idx] - s * s) > 1e-6 * top:
         raise InputError(f"s**2 = {s * s:.6e} is not an eigenvalue of the square")
     v = eigs.vectors[:, idx]
     hv = apply_H(u, v)
@@ -77,7 +100,12 @@ def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
 
 @dataclass(frozen=True, eq=False)
 class AAKCertificate:
-    """Dense-SVD evidence that the approximation meets the AAK distance."""
+    """Dense-SVD evidence that the approximation meets the AAK distance.
+
+    path says how the square was diagonalized: "rational" (the m x m core
+    of the exact section, m = core_size) or "dense" (the N x N square,
+    core_size None).
+    """
 
     s_target: float
     op_norm: float               # top singular value of Gamma_u - Gamma_r
@@ -86,6 +114,8 @@ class AAKCertificate:
     phi_unimodularity: float     # max | |phi| - 1 | on the grid
     tail: float                  # largest projected coefficient beyond N, over s
     truncation: int
+    path: str = "dense"
+    core_size: int | None = None
 
     @property
     def distance_gap(self) -> float:
@@ -164,18 +194,23 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     is numerically zero (k at least the rank) the symbol is its own best
     approximation and the distance is zero.
 
-    The analytic projection of phi = h / conj(h) runs on a grid of size
-    8N; if the projected coefficients beyond N are not below 1e-8 of the
-    largest, the truncation doubles and the whole construction repeats.
+    The square is diagonalized at the working size N on the rank-m core
+    of a rational symbol (whose other N - m singular values are zero) or
+    densely for a coefficient-only one.  The analytic projection of
+    phi = h / conj(h) runs on a grid of size 8N; if the projected
+    coefficients beyond N are not below 1e-8 of the largest, the
+    truncation doubles and the whole construction repeats.
     """
     if k < 1:
         raise InputError("approximation order k must be at least 1")
     n_work = _tight_truncation(u)
     while True:
         ub = resize_symbol(u, n_work)
-        eigs = hermitian_eigs(dense_square(ub.coeffs))
+        eigs, core_size = _square_eigs(ub)
+        path = "dense" if core_size is None else "rational"
         svals = np.sqrt(np.clip(eigs.values, 0.0, None))
-        top = float(svals[0]) if svals.size else 0.0
+        svals = np.pad(svals, (0, n_work - svals.size))
+        top = float(svals[0])
         if top == 0.0:
             raise InputError("symbol is numerically zero")
         floor = RANK_FLOOR_REL * top
@@ -184,8 +219,9 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
             if prev <= floor:
                 raise InputError(
                     f"gap hypothesis fails: s_{k - 1} is already numerically zero")
-            cert = _certify(ub, np.zeros(n_work, dtype=complex), 0.0, top,
-                            0.0, 0.0, n_work)
+            cert = replace(_certify(ub, np.zeros(n_work, dtype=complex), 0.0,
+                                    top, 0.0, 0.0, n_work),
+                           path=path, core_size=core_size)
             zero = Symbol(np.zeros(n_work, dtype=complex))
             return AAKResult(u, k, 0.0, ub, zero, cert)
         if svals[k - 1] - svals[k] <= GAP_FLOOR_REL * top:
@@ -214,7 +250,8 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
         n_work = min(2 * n_work, TRUNCATION_CAP)
 
     r_coeffs = ub.coeffs - v
-    cert = _certify(ub, v, s, top, uni, tail, n_work)
+    cert = replace(_certify(ub, v, s, top, uni, tail, n_work),
+                   path=path, core_size=core_size)
     return AAKResult(u, k, s, Symbol(r_coeffs), Symbol(v), cert)
 
 

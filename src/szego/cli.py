@@ -150,6 +150,10 @@ def _parse_complex_arg(text: str, what: str) -> complex:
 
 # ----------------------------------------------------------------- commands
 
+def _path_text(path: str, core_size: int | None) -> str:
+    return path if core_size is None else f"{path}, core m = {core_size}"
+
+
 def cmd_analyze(args) -> int:
     u = load_symbol(args.input, args.trunc)
     data, details = forward(u, details=True)
@@ -157,8 +161,7 @@ def cmd_analyze(args) -> int:
     tau2 = tau_squares(interlaced)
     kap2 = kappa_squares(interlaced)
     print(f"symbol: {u.n_modes} modes, |u| = {u.l2_norm:.12g}")
-    core = "" if details.core_size is None else f", core m = {details.core_size}"
-    print(f"forward path: {details.path}{core}")
+    print(f"forward path: {_path_text(details.path, details.core_size)}")
     print(f"spectral values: n = {data.n}")
     h_idx = k_idx = 0
     bateman_gap = 0.0
@@ -274,6 +277,7 @@ def cmd_approx(args) -> int:
     print(f"rank of the approximation: {cert.rank} (threshold {cert.rank_threshold:.3e})")
     print(f"unimodularity of the quotient on the grid: {cert.phi_unimodularity:.3e}")
     print(f"projected tail: {cert.tail:.3e} at truncation {cert.truncation}")
+    print(f"approx path: {_path_text(cert.path, cert.core_size)}")
     if args.out:
         _write_json(args.out, symbol_payload(result.r))
         print(f"wrote {args.out}")

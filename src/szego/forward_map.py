@@ -15,7 +15,7 @@ never stored, so the spectral data holds positive values only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
 from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, apply_H,
                      apply_K, build_pair, check_shifted_square, dense_hankel,
-                     hermitian_eigs, shifted_coeffs, square_operator)
+                     hermitian_eigs, lift_eigs, shifted_coeffs, square_operator)
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -203,11 +203,9 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         es_h = hermitian_eigs(pair.h2)
         _check_ku2(pair.ku2_residual, es_h.values[0])
         es_k = hermitian_eigs(pair.k2)
-        path, core_size = "dense", None
-        if pair.frame is not None:
-            path, core_size = "rational", pair.frame.shape[1]
-            es_h, es_k = (replace(es, vectors=pair.frame @ es.vectors)
-                          for es in (es_h, es_k))
+        es_h, es_k = (lift_eigs(es, pair.frame) for es in (es_h, es_k))
+        path, core_size = (("dense", None) if pair.frame is None else
+                           ("rational", pair.frame.shape[1]))
     else:
         k = min(64, n - 2)
         kc = shifted_coeffs(u)

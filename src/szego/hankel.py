@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -345,6 +345,15 @@ class EigenSystem:
     vectors: np.ndarray
     max_residual: float
     orthonormality: float
+
+
+def lift_eigs(es: EigenSystem, frame: np.ndarray | None) -> EigenSystem:
+    """An eigensystem of a pair's square with vectors of length N.
+
+    On a frame F the eigenvectors y of the m x m core become F y; without
+    one the eigensystem already has them and comes back as it is.
+    """
+    return es if frame is None else replace(es, vectors=frame @ es.vectors)
 
 
 def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:

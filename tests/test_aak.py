@@ -8,6 +8,15 @@ from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
 from szego.errors import InputError, NumericalError
 from szego.forward_map import forward
 from szego.hankel import Symbol, resize_symbol
+from szego.verify import random_low_rank
+
+
+def _rational(num, poles) -> Symbol:
+    den = np.ones(1, dtype=complex)
+    for a in poles:
+        den = np.convolve(den, [1.0, -a])
+    return Symbol.from_rational(
+        RationalFunction(Poly(num), Poly(den), check_coprime=False))
 
 
 def test_hand_best_rank_one(hand_symbol):
@@ -47,6 +56,7 @@ def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
 
     monkeypatch.setattr(aak, "hermitian_eigs", no_eigensolve)
     monkeypatch.setattr(aak, "dense_square", no_eigensolve)
+    monkeypatch.setattr(aak, "build_pair", no_eigensolve)
     with pytest.raises(NumericalError, match="cap of 8192 modes"):
         best_approx(u, 1)
 
@@ -67,6 +77,66 @@ def test_schmidt_vector_hand(hand_symbol):
     overlap = abs(np.vdot(sv.h[:2], direction))
     assert abs(overlap - 1.0) < 1e-10
     assert np.max(np.abs(sv.h[2:])) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+def test_schmidt_vector_off_the_spectrum_raises_at_any_scale(scale):
+    # the singular values of 3 + 2z are 4 and 1; 1.5 is neither
+    u = resize_symbol(Symbol(scale * np.array([3.0, 2.0])), 8)
+    with pytest.raises(InputError, match="not an eigenvalue"):
+        schmidt_vector(u, 1.5 * scale)
+
+
+def test_schmidt_vector_of_a_rational_symbol_uses_the_core(monkeypatch,
+                                                          rank_one_symbol):
+    def refuse(c):
+        raise AssertionError("an N x N square was formed")
+
+    monkeypatch.setattr(aak, "dense_square", refuse)
+    sv = schmidt_vector(rank_one_symbol, 1.0)
+    assert sv.h.size == rank_one_symbol.n_modes
+    assert sv.residual < 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rational([1.0, 0.4j], [0.9 * np.exp(0.7j), -0.5]),
+    lambda: _rational([0.5, -1.0, 0.3], [0.85j, 0.9 * np.exp(2.2j), 0.4]),
+    *(lambda seed=seed: random_low_rank(np.random.default_rng(seed))
+      for seed in (1, 2, 3, 4)),
+], ids=["rank2", "rank3", "low-rank-1", "low-rank-2", "low-rank-3", "low-rank-4"])
+def test_best_approx_core_matches_the_dense_path(make):
+    u = make()
+    core = best_approx(u, 1)
+    n_work = core.certificate.truncation
+    dense = best_approx(Symbol(resize_symbol(u, n_work).coeffs), 1)
+    assert (core.certificate.path, core.certificate.core_size) == (
+        "rational", u.rational.rank_bound)
+    assert (dense.certificate.path, dense.certificate.core_size) == ("dense", None)
+    assert abs(core.s - dense.s) <= 1e-12 * dense.s
+    r_gap = np.linalg.norm(core.r.coeffs - dense.r.coeffs)
+    assert r_gap <= 1e-12 * np.linalg.norm(dense.r.coeffs)
+    op_gap = abs(core.certificate.op_norm - dense.certificate.op_norm)
+    assert op_gap <= 1e-12 * dense.certificate.op_norm
+    assert core.certificate.rank == dense.certificate.rank
+    assert dense.certificate.truncation == n_work
+
+
+def test_rational_symbol_forms_no_square(monkeypatch):
+    def refuse(c):
+        raise AssertionError("an N x N square was formed")
+
+    sizes = []
+    eigs = aak.hermitian_eigs
+    monkeypatch.setattr(aak, "dense_square", refuse)
+    monkeypatch.setattr(aak, "hermitian_eigs",
+                        lambda a: sizes.append(a.shape[0]) or eigs(a))
+    u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])
+    assert u.n_modes == 1024
+    cert = best_approx(u, 1).certificate
+    assert (cert.path, cert.core_size) == ("rational", 2)
+    assert sizes == [2]
+    assert cert.truncation == 1024
+    assert cert.distance_gap < 1e-7
 
 
 def test_subtracted_piece_has_the_gap_norm(hand_symbol):

@@ -104,6 +104,15 @@ def test_approx_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("write, line", [
+    (lambda p: write_rational(p, [1.0], [1.0, -0.2, -0.15]), "rational, core m = 2"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), "dense"),
+], ids=["rational", "dense"])
+def test_approx_prints_the_path(tmp_path, capsys, write, line):
+    assert main(["approx", write(tmp_path / "u.json"), "1"]) == 0
+    assert f"approx path: {line}\n" in capsys.readouterr().out
+
+
 def test_evolve_writes_csv_with_conserved_columns(tmp_path, capsys):
     u_path = write_symbol(tmp_path / "z.json", [0.0, 1.0])
     csv_path = tmp_path / "traj.csv"
