@@ -20,6 +20,7 @@ from .errors import InputError, NotAnalyticError
 TRIM_REL = 1e-12
 COPRIME_TOL = 1e-10
 COMPANION_MAX_DEGREE = 64
+MINOR_BLOCK_BYTES = 4 << 20
 
 
 def next_pow2(n: int) -> int:
@@ -112,27 +113,33 @@ class Poly:
     def zero() -> "Poly":
         return Poly(np.zeros(0))
 
-    @staticmethod
-    def identity() -> "Poly":
-        return Poly(np.array([0.0, 1.0], dtype=complex))
+
+def reflect_coeffs(c: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of z**d * conj(p)(1/z) from those of p (at most d + 1).
+
+    Coefficient k is the conjugate of coefficient d-k of p.  Only exact
+    zeros are dropped from the top, however small the last one kept is.
+    """
+    if c.size > d + 1:
+        raise InputError(f"reflection: degree {c.size - 1} exceeds bound {d}")
+    out = np.zeros(d + 1, dtype=complex)
+    out[d + 1 - c.size:] = np.conj(c[::-1])
+    nonzero = np.flatnonzero(out)
+    return out[: nonzero[-1] + 1] if nonzero.size else out[:0]
 
 
 def conj_reflect(p: Poly, d: int) -> Poly:
     """Reflect a polynomial of degree <= d through the unit circle.
 
-    Returns D with D(z) = z**d * conj(p)(1/z): coefficient k of D equals
-    the conjugate of coefficient d-k of p.  For a monic Schur polynomial
-    this is the normalized denominator of the associated Blaschke product.
+    Returns D with D(z) = z**d * conj(p)(1/z) (reflect_coeffs).  For a
+    monic Schur polynomial this is the normalized denominator of the
+    associated Blaschke product.
 
     The top coefficient conj(p(0)) is kept however small it is (only an
     exact zero goes), so reflecting twice at the same d gives p back; the
     relative trim of ``Poly`` would drop it below 1e-12 of the largest.
     """
-    if p.degree > d:
-        raise InputError(f"conj_reflect: degree {p.degree} exceeds bound {d}")
-    c = np.conj(p.padded(d + 1))[::-1]
-    nonzero = np.flatnonzero(c)
-    c = c[: nonzero[-1] + 1] if nonzero.size else c[:0]
+    c = reflect_coeffs(p.coeffs, d)
     c.flags.writeable = False
     out = object.__new__(Poly)
     object.__setattr__(out, "coeffs", c)
@@ -268,19 +275,25 @@ class CircleGrid:
         object.__setattr__(self, "samples", s)
 
 
+def fold_coeffs(c: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients reduced modulo z**m - 1 and zero-padded to length m.
+
+    The reduction is exact at the M-th roots of unity, where z**M = 1.
+    """
+    out = np.zeros(-(-max(c.size, 1) // m) * m, dtype=complex)
+    out[: c.size] = c
+    return out.reshape(-1, m).sum(axis=0) if out.size > m else out
+
+
 def grid_transform(p: Poly | np.ndarray, m: int) -> CircleGrid:
     """Evaluate a polynomial at the M-th roots of unity (exactly, via FFT).
 
-    Degrees >= M are handled by folding coefficients modulo M, which is
-    exact because z**M = 1 on the grid.
+    Degrees >= M are handled by folding coefficients modulo M (fold_coeffs).
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise InputError(f"grid size {m} is not a power of two")
     c = p.coeffs if isinstance(p, Poly) else np.asarray(p, dtype=complex)
-    folded = np.zeros(m, dtype=complex)
-    if c.size:
-        np.add.at(folded, np.arange(c.size) % m, c)
-    return CircleGrid(m, m * np.fft.ifft(folded))
+    return CircleGrid(m, m * np.fft.ifft(fold_coeffs(c, m)))
 
 
 def interpolate(grid: CircleGrid, degree_bound: int) -> Poly:
@@ -295,31 +308,42 @@ def interpolate(grid: CircleGrid, degree_bound: int) -> Poly:
 def polymatrix_det_minors(entries, degree_bound: int):
     """Determinant and all first minors of a matrix of polynomials.
 
-    Every scalar determinant is computed at M >= 2*degree_bound + 1 roots
-    of unity (a power of two), then interpolated back to coefficients.
-    minors[k][j] is the determinant of the matrix with row k and column j
-    deleted (the plain minor, no cofactor sign).
+    entries[k][j] is a Poly or a coefficient array.  One batched FFT
+    samples all q**2 entries at M >= 2*degree_bound + 1 roots of unity
+    (a power of two).  The determinant and the q**2 minors, each a stack
+    of index-deleted submatrices, are scalar determinants at every grid
+    point, taken by batched np.linalg.det calls (one while the stack of
+    submatrices stays under MINOR_BLOCK_BYTES, more otherwise); one FFT
+    interpolates them all back to coefficients.  minors[k][j] is the
+    determinant of the matrix with row k and column j deleted (the plain
+    minor, no cofactor sign).
     """
     q = len(entries)
     m = next_pow2(2 * degree_bound + 2)
-    values = np.empty((m, q, q), dtype=complex)
-    for k in range(q):
-        if len(entries[k]) != q:
+    coeffs = np.empty((q, q, m), dtype=complex)
+    for k, row in enumerate(entries):
+        if len(row) != q:
             raise InputError("entry grid is not square")
-        for j in range(q):
-            values[:, k, j] = grid_transform(entries[k][j], m).samples
-    det = interpolate(CircleGrid(m, np.linalg.det(values)), degree_bound)
-    minors = []
-    for k in range(q):
-        row = []
-        for j in range(q):
-            if q == 1:
-                row.append(Poly.one())
-                continue
-            sub = np.delete(np.delete(values, k, axis=1), j, axis=2)
-            row.append(interpolate(CircleGrid(m, np.linalg.det(sub)), degree_bound))
-        minors.append(row)
-    return det, minors
+        for j, entry in enumerate(row):
+            c = entry.coeffs if isinstance(entry, Poly) else np.asarray(entry, dtype=complex)
+            coeffs[k, j] = fold_coeffs(c, m)
+    values = np.moveaxis(m * np.fft.ifft(coeffs, axis=-1), -1, 0)
+    dets = np.empty((m, 1 + q * q), dtype=complex)
+    dets[:, 0] = np.linalg.det(values)
+    if q > 1:
+        # keep[k] lists the indices other than k
+        keep = np.array([[i for i in range(q) if i != k] for k in range(q)])
+        rows = max(1, MINOR_BLOCK_BYTES // (16 * m * q * (q - 1) ** 2))
+        for start in range(0, q, rows):
+            ks = keep[start: start + rows]
+            sub = values[:, ks[:, None, :, None], keep[None, :, None, :]]
+            dets[:, 1 + start * q: 1 + (start + ks.shape[0]) * q] = \
+                np.linalg.det(sub).reshape(m, -1)
+    polys = (np.fft.fft(dets, axis=0)[: degree_bound + 1] / m).T
+    det = Poly(polys[0])
+    if q == 1:
+        return det, [[Poly.one()]]
+    return det, [[Poly(polys[1 + k * q + j]) for j in range(q)] for k in range(q)]
 
 
 def fit_rational_samples(points: np.ndarray, values: np.ndarray,

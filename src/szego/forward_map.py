@@ -24,9 +24,10 @@ from .algebra import conj_reflect, fit_rational_samples, grid_transform, next_po
 from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, apply_H,
-                     apply_K, build_pair, check_shifted_square, dense_hankel,
-                     hermitian_eigs, lift_eigs, shifted_coeffs, square_operator)
+from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, build_pair,
+                     check_shifted_square, dense_hankel, hermitian_eigs, lift_eigs,
+                     section_actions, shifted_coeffs, square_operator,
+                     truncation_actions)
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -166,7 +167,11 @@ class ForwardDetails:
 
     path is "rational" (the m x m core of the exact section, m = core_size),
     "dense" (both N x N squares, core_size None) or "lanczos" (the top
-    eigenpairs of the matrix-free squares, core_size None).
+    eigenpairs of the matrix-free squares, core_size None).  actions are
+    the antilinear maps h -> A conj(h) of the plain and the shifted matrix
+    whose eigenvectors the clusters hold: the exact section and its shift
+    on the core (section_actions), the zero-padded truncation otherwise
+    (truncation_actions).  forward fits the inner factors against them.
     """
 
     clusters_h: list
@@ -174,6 +179,7 @@ class ForwardDetails:
     essential: list        # MultiplicityCluster per stored singular value
     path: str
     core_size: int | None
+    actions: tuple         # (plain, shifted)
 
     @property
     def zero_in_shifted(self) -> bool:
@@ -206,6 +212,8 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         es_h, es_k = (lift_eigs(es, pair.frame) for es in (es_h, es_k))
         path, core_size = (("dense", None) if pair.frame is None else
                            ("rational", pair.frame.shape[1]))
+        actions = (truncation_actions(u) if pair.frame is None else
+                   section_actions(pair.frame, pair.a0, pair.a1))
     else:
         k = min(64, n - 2)
         kc = shifted_coeffs(u)
@@ -217,6 +225,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         es_k = (hermitian_eigs(k2, k=k) if kc.any() else
                 EigenSystem(np.zeros(0), np.zeros((n, 0), complex), 0.0, 0.0))
         path, core_size = "lanczos", None
+        actions = truncation_actions(u)
     top = es_h.values[0]
     clusters_h = _enrich(cluster_eigenvalues(es_h.values, top), es_h.vectors,
                          u.coeffs, norm_u, "H")
@@ -260,7 +269,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    return ForwardDetails(clusters_h, clusters_k, essential, path, core_size)
+    return ForwardDetails(clusters_h, clusters_k, essential, path, core_size, actions)
 
 
 def fit_circle_ratio(num_vec: np.ndarray, den_vec: np.ndarray, d: int):
@@ -340,13 +349,14 @@ def forward(u: Symbol, details: bool = False):
         raise InputError("symbol is numerically zero")
     info = sigma_membership(u)
     values = np.array([c.s for c in info.essential])
+    plain, shifted = info.actions
     psi = []
     for c in info.essential:
         proj = c.projection_of_u
         if c.kind == "H":
-            b = extract_blaschke(c.s * proj, apply_H(u, proj), c.dim)
+            b = extract_blaschke(c.s * proj, plain(proj), c.dim)
         else:
-            b = extract_blaschke(apply_K(u, proj), c.s * proj, c.dim)
+            b = extract_blaschke(shifted(proj), c.s * proj, c.dim)
         psi.append(b)
     data = SpectralData(values, tuple(psi))
     return (data, info) if details else data

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -258,12 +259,28 @@ def shifted_coeffs(u: Symbol) -> np.ndarray:
     return np.concatenate([u.coeffs[1:], [0.0]])
 
 
+def truncation_actions(u: Symbol) -> tuple:
+    """apply_H and apply_K of u's zero-padded truncation, as maps of h alone."""
+    return partial(apply_H, u), partial(apply_K, u)
+
+
+def section_actions(frame: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> tuple:
+    """The exact section F a0 and its shift F a1 as maps h -> F (a conj(h)).
+
+    Each application costs O(N m) on the N x m frame and m x N strips.
+    """
+    return (lambda h: frame @ (a0 @ np.conj(h)),
+            lambda h: frame @ (a1 @ np.conj(h)))
+
+
 @dataclass(frozen=True, eq=False)
 class HankelPair:
     """Dense Hermitian squares of a symbol's truncated matrix and of its shift.
 
     With a frame F (N x m, orthonormal columns) the squares are m x m and
-    stand for F h2 F* and F k2 F*; without one they are N x N.
+    stand for F h2 F* and F k2 F*, and the exact section and its shift
+    factor as F a0 and F a1 through the m x N strips a0 and a1; without a
+    frame the squares are N x N and there are no strips.
     """
 
     symbol: Symbol
@@ -271,6 +288,8 @@ class HankelPair:
     k2: np.ndarray
     ku2_residual: float
     frame: np.ndarray | None = None
+    a0: np.ndarray | None = None
+    a1: np.ndarray | None = None
 
 
 def _check_ku2(residual: float, h2_norm: float) -> float:
@@ -281,12 +300,13 @@ def _check_ku2(residual: float, h2_norm: float) -> float:
     return residual
 
 
-def _rational_core(u: Symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame F and the m x m squares of the exact section and its shift.
+def _rational_core(u: Symbol) -> tuple:
+    """Frame F, the m x m squares of the exact section and its shift, and their strips.
 
     O = F T is the thin QR of the N x m observability strip and R the
-    m x (N + 1) strip R[i, j] = c_{i+j}, so the section is F (T R0) and
-    its shift F (T R1), with R0, R1 the columns 0..N-1 and 1..N of R.
+    m x (N + 1) strip R[i, j] = c_{i+j}, so the section is F A0 and its
+    shift F A1, with A0 = T R0 and A1 = T R1 (m x N) and R0, R1 the
+    columns 0..N-1 and 1..N of R.  Returns (F, A0 A0*, A1 A1*, A0, A1).
     """
     rf = u.rational
     n, m = u.n_modes, rf.rank_bound
@@ -297,7 +317,8 @@ def _rational_core(u: Symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frame, tri = np.linalg.qr(series_divide(obs, rf.den))
     c = rf.taylor(n + m)
     strip = tri @ scipy.linalg.hankel(c[:m], c[m - 1:])
-    return frame, _gram(strip[:, :n]), _gram(strip[:, 1:])
+    a0, a1 = strip[:, :n], strip[:, 1:]
+    return frame, _gram(a0), _gram(a1), a0, a1
 
 
 def build_pair(u: Symbol) -> HankelPair:
@@ -305,8 +326,9 @@ def build_pair(u: Symbol) -> HankelPair:
 
     A symbol with a rational form gets both squares of its exact N x N
     section on the frame F of the section's range (_rational_core), as
-    m x m matrices; a coefficient-only symbol gets the N x N squares of
-    its zero-padded truncation.  The identity k2 = h2 - outer(b, conj(b)),
+    m x m matrices, with the strips they are squares of; a
+    coefficient-only symbol gets the N x N squares of its zero-padded
+    truncation.  The identity k2 = h2 - outer(b, conj(b)),
     with b = F* u on the frame and b = u without it, holds exactly on the
     truncation and up to the section's tail c_N..c_{2N-1} on the exact
     section; its numerical (Frobenius) residual is stored.  It must stay
@@ -314,14 +336,15 @@ def build_pair(u: Symbol) -> HankelPair:
     the caller that diagonalizes h2 checks it (_check_ku2).
     """
     if u.rational is None:
-        frame, b = None, u.coeffs
+        frame = a0 = a1 = None
+        b = u.coeffs
         h2, k2 = dense_square(u.coeffs), dense_square(shifted_coeffs(u))
     else:
-        frame, h2, k2 = _rational_core(u)
+        frame, h2, k2, a0, a1 = _rational_core(u)
         b = frame.conj().T @ u.coeffs
     gap = h2 - np.outer(b, np.conj(b))
     gap -= k2
-    return HankelPair(u, h2, k2, float(np.linalg.norm(gap)), frame)
+    return HankelPair(u, h2, k2, float(np.linalg.norm(gap)), frame, a0, a1)
 
 
 def check_shifted_square(h2, k2, c: np.ndarray, h2_norm: float) -> float:

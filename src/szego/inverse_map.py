@@ -11,6 +11,12 @@ polynomial entries whose determinant Q has degree exactly
 N = q + sum of all Blaschke degrees and no root on the closed unit disc.
 The symbol and its eigenspace components all come out as polynomial
 combinations of the first minors divided by Q.
+
+All of this algebra runs on coefficient arrays (degree 0 first): each
+cleared entry is a product of factors' arrays by np.convolve, Q and the
+q**2 minors come from one batched sampling, determinant and
+interpolation pass (polymatrix_det_minors), and the adjugate sums are
+array sums.  Only the outputs are wrapped in Poly.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import bateman
 from .algebra import (COMPANION_MAX_DEGREE, Poly, RationalFunction,
                       grid_transform, next_pow2, polymatrix_det_minors,
-                      root_free_on_closed_disc)
+                      reflect_coeffs, root_free_on_closed_disc)
 from .blaschke import BlaschkeProduct
 from .errors import HypothesisViolationError, InputError
 from .forward_map import SpectralData, forward
@@ -34,21 +41,28 @@ CONSISTENCY_POINTS = 16
 
 @dataclass(frozen=True, eq=False)
 class CMatrix:
-    """The reconstruction matrix in cleared (polynomial) form."""
+    """The reconstruction matrix in cleared (polynomial) form.
+
+    Polynomials are coefficient arrays, degree 0 first: the reflections
+    D of the Blaschke numerators, computed once per matrix, and the
+    cleared entries, which are not trimmed.
+    """
 
     q: int
     rho: np.ndarray
     sigma: np.ndarray
     psi_odd: tuple          # Blaschke products at plain positions 1, 3, ...
     psi_even: tuple         # at shifted positions 2, 4, ... (virtual 1 appended)
+    d_odd: tuple            # D_{2j-1}, reflections of the psi_odd numerators
+    d_even: tuple           # D_{2k}
     cleared: list           # cleared[k][j], polynomial entries
     total_degree: int       # exact degree of the determinant
 
     def rational_entry_values(self, k: int, j: int, z: np.ndarray) -> np.ndarray:
         """Values of the uncleared entry c_kj at given points."""
-        dk = self.psi_even[k].d
-        dj = self.psi_odd[j].d
-        return self.cleared[k][j](z) / (dk(z) * dj(z))
+        dk = npoly.polyval(z, self.d_even[k])
+        dj = npoly.polyval(z, self.d_odd[j])
+        return npoly.polyval(z, self.cleared[k][j]) / (dk * dj)
 
 
 def build_cmatrix(data: SpectralData) -> CMatrix:
@@ -57,7 +71,8 @@ def build_cmatrix(data: SpectralData) -> CMatrix:
     Entry (k, j) is
         (rho_j D_{2k} D_{2j-1} - sigma_k z e^{-i(psi_{2k}+psi_{2j-1})} P_{2k} P_{2j-1})
             / (rho_j**2 - sigma_k**2),
-    a polynomial of degree at most 1 + d_{2k} + d_{2j-1}.  At z = 0 every
+    a polynomial of degree at most 1 + d_{2k} + d_{2j-1}, formed from the
+    coefficient arrays of its factors by np.convolve.  At z = 0 every
     entry equals rho_j / (rho_j**2 - sigma_k**2); the diagonal ones are
     positive.
     """
@@ -71,23 +86,31 @@ def build_cmatrix(data: SpectralData) -> CMatrix:
         psi_even.append(BlaschkeProduct.constant(0.0))
     sigma = np.array(sigma)
 
-    z_poly = Poly.identity()
+    p_odd = [b.p.coeffs for b in psi_odd]
+    p_even = [b.p.coeffs for b in psi_even]
+    d_odd = tuple(reflect_coeffs(c, c.size - 1) for c in p_odd)
+    d_even = tuple(reflect_coeffs(c, c.size - 1) for c in p_even)
+    phase_odd = [b.phase for b in psi_odd]
+    phase_even = [b.phase for b in psi_even]
     cleared = []
     for k in range(q):
         row = []
-        pk = psi_even[k]
         for j in range(q):
-            pj = psi_odd[j]
             denom = rho[j] ** 2 - sigma[k] ** 2
-            entry = (rho[j] / denom) * (pk.d * pj.d)
+            plain = (rho[j] / denom) * np.convolve(d_even[k], d_odd[j])
+            entry = plain
             if sigma[k] != 0.0:
-                phase = pk.phase * pj.phase
-                entry = entry - (sigma[k] / denom * phase) * (z_poly * (pk.p * pj.p))
-            bound = 1 + pk.degree + pj.degree
-            if entry.degree > bound:
+                shifted = np.convolve(p_even[k], p_odd[j])
+                entry = np.zeros(max(plain.size, shifted.size + 1), dtype=complex)
+                entry[: plain.size] = plain
+                # times z: the sigma term starts at degree 1
+                entry[1: shifted.size + 1] -= \
+                    (sigma[k] / denom * (phase_even[k] * phase_odd[j])) * shifted
+            bound = 1 + psi_even[k].degree + psi_odd[j].degree
+            if entry.size - 1 > bound:
                 raise HypothesisViolationError(
-                    f"cleared entry ({k},{j}) has degree {entry.degree} > {bound}")
-            at0 = complex(entry(0.0))
+                    f"cleared entry ({k},{j}) has degree {entry.size - 1} > {bound}")
+            at0 = complex(entry[0])
             want = rho[j] / denom
             if abs(at0 - want) > 1e-10 * max(abs(want), 1.0):
                 raise HypothesisViolationError(
@@ -97,8 +120,17 @@ def build_cmatrix(data: SpectralData) -> CMatrix:
                     f"diagonal entry ({k},{k}) not positive at 0")
             row.append(entry)
         cleared.append(row)
-    return CMatrix(q, rho, sigma, psi_odd, tuple(psi_even), cleared,
-                   data.total_degree)
+    return CMatrix(q, rho, sigma, psi_odd, tuple(psi_even), d_odd, d_even,
+                   cleared, data.total_degree)
+
+
+def _sum(terms) -> np.ndarray:
+    """Sum of coefficient arrays of any lengths."""
+    terms = list(terms)
+    out = np.zeros(max(t.size for t in terms), dtype=complex)
+    for t in terms:
+        out[: t.size] += t
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,39 +195,31 @@ def synthesize(data: SpectralData) -> SynthesisResult:
     det_vals = grid_transform(det, grid_m).samples
     condition = float(np.max(np.abs(det_vals)) / np.min(np.abs(det_vals)))
 
+    # Adjugate numerators over the plain minors M_kj (a zero minor as [0]):
+    #   R_{2j-1} = sum_k (-1)**(k+j) D_{2k} M_kj,
+    #   R_{2k}   = sum_j (-1)**(k+j) phase_j P_{2j-1} M_kj.
+    minor = [[mk.coeffs if mk else np.zeros(1, dtype=complex) for mk in row]
+             for row in minors]
+    p_odd = [b.p.coeffs for b in cm.psi_odd]
     phases = [b.phase for b in cm.psi_odd]
-    r_odd_num = []
-    for j in range(q):
-        acc = Poly.zero()
-        for k in range(q):
-            term = cm.psi_even[k].d * minors[k][j]
-            acc = acc + ((-1.0) ** (k + j)) * term
-        r_odd_num.append(acc)
-    r_even_num = []
-    for k in range(q):
-        acc = Poly.zero()
-        for j in range(q):
-            term = (phases[j] * (cm.psi_odd[j].p * minors[k][j]))
-            acc = acc + ((-1.0) ** (k + j)) * term
-        r_even_num.append(acc)
+    r_odd = [_sum((-1.0) ** (k + j) * np.convolve(cm.d_even[k], minor[k][j])
+                  for k in range(q)) for j in range(q)]
+    r_even = [_sum((-1.0) ** (k + j) * (phases[j] * np.convolve(p_odd[j], minor[k][j]))
+                   for j in range(q)) for k in range(q)]
 
-    u_num = Poly.zero()
-    for j in range(q):
-        u_num = u_num + phases[j] * (cm.psi_odd[j].p * r_odd_num[j])
-    u_alt = Poly.zero()
-    for k in range(q):
-        u_alt = u_alt + cm.psi_even[k].d * r_even_num[k]
-    pad = max(u_num.degree, u_alt.degree, 0) + 1
-    scale = max(float(np.max(np.abs(u_num.padded(pad)))), 1e-300)
-    gap = float(np.max(np.abs(u_num.padded(pad) - u_alt.padded(pad)))) / scale
+    # u = sum_j u_j = sum_k u'_k: both sums give its numerator over det
+    u_terms = [phases[j] * np.convolve(p_odd[j], r_odd[j]) for j in range(q)]
+    u_prime_terms = [np.convolve(cm.d_even[k], r_even[k]) for k in range(q)]
+    u_num = _sum(u_terms)
+    scale = max(float(np.max(np.abs(u_num))), 1e-300)
+    gap = float(np.max(np.abs(_sum([u_num, -_sum(u_prime_terms)])))) / scale
 
     inv0 = 1.0 / det0
     q_norm = det * inv0
-    u_rf = RationalFunction(u_num * inv0, q_norm, check_coprime=False)
-    h = tuple(cm.psi_odd[j].d * r_odd_num[j] * inv0 for j in range(q))
-    u_parts = tuple(phases[j] * (cm.psi_odd[j].p * r_odd_num[j]) * inv0
-                    for j in range(q))
-    u_prime_parts = tuple(cm.psi_even[k].d * r_even_num[k] * inv0 for k in range(q))
+    u_rf = RationalFunction(Poly(u_num * inv0), q_norm, check_coprime=False)
+    h = tuple(Poly(np.convolve(cm.d_odd[j], r_odd[j]) * inv0) for j in range(q))
+    u_parts = tuple(Poly(t * inv0) for t in u_terms)
+    u_prime_parts = tuple(Poly(t * inv0) for t in u_prime_terms)
     u_sym = Symbol.from_rational(u_rf)
     return SynthesisResult(data, u_sym, u_rf, q_norm, h, u_parts, u_prime_parts,
                            n_deg, gap, min_root, condition, det0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
+from szego import algebra
 from szego.algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
                            grid_transform, interpolate, next_pow2,
                            polymatrix_det_minors, root_free_on_closed_disc,
@@ -155,16 +157,27 @@ def test_grid_transform_interpolate_roundtrip(rng):
     assert np.allclose(back.padded(6), c, atol=1e-12)
 
 
-def test_polymatrix_det_matches_pointwise(rng):
-    q = 3
-    entries = [[Poly(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-                for _ in range(q)] for _ in range(q)]
-    det, minors = polymatrix_det_minors(entries, degree_bound=3 * 2)
-    for z in np.exp(2j * np.pi * rng.random(5)):
-        m = np.array([[entries[k][j](z) for j in range(q)] for k in range(q)])
-        assert abs(det(z) - np.linalg.det(m)) < 1e-9 * max(1.0, abs(np.linalg.det(m)))
-        sub = np.delete(np.delete(m, 1, axis=0), 2, axis=1)
-        assert abs(minors[1][2](z) - np.linalg.det(sub)) < 1e-9
+def test_polymatrix_det_matches_pointwise(rng, monkeypatch):
+    # every (k, j) minor pins the index layout of the batched determinants;
+    # q = 4 comes as coefficient arrays, q = 3 as Poly entries
+    for q in (3, 4):
+        coeffs = rng.standard_normal((q, q, 3)) + 1j * rng.standard_normal((q, q, 3))
+        entries = [[Poly(c) if q == 3 else c for c in row] for row in coeffs]
+        det, minors = polymatrix_det_minors(entries, degree_bound=q * 2)
+        for z in np.exp(2j * np.pi * rng.random(5)):
+            m = npoly.polyval(z, coeffs.transpose(2, 0, 1))
+            assert abs(det(z) - np.linalg.det(m)) < 1e-9 * max(1.0, abs(np.linalg.det(m)))
+            for k in range(q):
+                for j in range(q):
+                    sub = np.delete(np.delete(m, k, axis=0), j, axis=1)
+                    assert abs(minors[k][j](z) - np.linalg.det(sub)) < 1e-9
+        # one row of minors per batched det gives the same polynomials
+        monkeypatch.setattr(algebra, "MINOR_BLOCK_BYTES", 1)
+        det_rows, minors_rows = polymatrix_det_minors(entries, degree_bound=q * 2)
+        monkeypatch.undo()
+        assert np.array_equal(det.coeffs, det_rows.coeffs)
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for row, row_b in zip(minors, minors_rows) for a, b in zip(row, row_b))
 
 
 def test_polymatrix_det_rejects_ragged_input():

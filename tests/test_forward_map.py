@@ -196,6 +196,21 @@ def test_rational_core_near_the_circle_forms_no_large_square(monkeypatch, r, n_m
     assert np.max(np.abs(data.s - expect) / expect) < 1e-12
 
 
+def test_rational_core_fits_against_the_exact_section():
+    # the core's eigenvectors belong to the exact section, so the inner
+    # factors are fitted against its action: against the zero-padded
+    # truncation, whose tail 0.9**128 is still 1.4e-6, the fit missed
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.9])),
+                             n_modes=128)
+    data, details = forward(u, details=True)
+    assert details.path == "rational"
+    expect = np.array([1.0, 0.9]) / (1.0 - 0.81)
+    assert data.n == 2
+    assert np.max(np.abs(data.s - expect) / expect) < 1e-10
+    assert data.degrees == (0, 0)
+    assert np.max(np.abs(np.angle(np.exp(1j * data.angles())))) < 1e-10
+
+
 def _eigensystem(values, order):
     """Descending values on the coordinate vectors taken in the given order."""
     return EigenSystem(np.array(values, dtype=float),

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from szego.algebra import Poly
 from szego.blaschke import BlaschkeProduct, from_zeros
 from szego.errors import InputError
 from szego.forward_map import SpectralData, forward
 from szego.hankel import Symbol, resize_symbol
-from szego.inverse_map import (collapsed_fourvalue, fourvalue_formula,
-                               roundtrip, synthesize)
-from szego.verify import random_spectral_data
+from szego.inverse_map import (collapsed_fourvalue, consistency_report,
+                               fourvalue_formula, roundtrip, synthesize)
+from szego.verify import CONSISTENCY_TOL, random_spectral_data
 
 MONOMIAL_FACTOR = from_zeros(np.array([0.0]), 0.0)
 CONSTANT = BlaschkeProduct.constant(0.0)
@@ -48,6 +49,24 @@ def test_denominator_free_of_roots_near_disc(rng):
             assert result.min_root_modulus > 1.0 + 1e-10
         if data.n % 2 == 0:
             assert result.q_poly.degree == result.total_degree
+
+
+def test_synthesis_does_its_algebra_on_coefficient_arrays(monkeypatch):
+    # q = 3 brings nine minors and both adjugate sums; Poly objects are
+    # built only as outputs, so no Poly is ever added or subtracted
+    def refuse(self, other):
+        raise AssertionError("Poly addition inside synthesize")
+
+    monkeypatch.setattr(Poly, "__add__", refuse)
+    monkeypatch.setattr(Poly, "__sub__", refuse)
+    psi = (BlaschkeProduct.constant(0.4), from_zeros([0.3], 1.0),
+           BlaschkeProduct.constant(2.0), from_zeros([-0.2j], 0.0),
+           BlaschkeProduct.constant(3.0))
+    data = SpectralData(np.array([6.0, 3.0, 1.5, 0.75, 0.3]), psi)
+    result = synthesize(data)
+    assert data.q == 3
+    assert result.total_degree == 5
+    assert consistency_report(result).max_residual < CONSISTENCY_TOL
 
 
 def test_fourvalue_hand_spectrum():
