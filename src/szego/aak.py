@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .algebra import (RationalFunction, conj_reflect, fit_rational_samples,
+from .algebra import (Poly, RationalFunction, conj_reflect, fit_rational_samples,
                       next_pow2)
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
-from .forward_map import MultiplicityCluster, fit_circle_ratio
+from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
 from .hankel import (TRUNCATION_CAP, EigenSystem, Symbol, _check_ku2, apply_H,
                      build_pair, dense_square, exact_section, hermitian_eigs,
                      lift_eigs, resize_symbol)
@@ -265,14 +265,17 @@ class RatioSample:
     degree: int
 
 
-def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
+def ratio_certificate(details: ForwardDetails, cluster: MultiplicityCluster,
                       rng=None) -> tuple:
     """Certify that s h / H_u(h) has the form of an inner ratio on a cluster.
 
-    For three random unit combinations h of the cluster basis the pointwise
-    ratio s h(z) / (H_u h)(z) is fitted by ``fit_circle_ratio`` with
+    details is forward's inspection payload and cluster one of its plain
+    clusters; H_u is details.actions[0], the action whose eigenvectors the
+    cluster holds (the exact section on the rational core).  For three
+    random unit combinations h of the cluster basis the pointwise ratios
+    s h(z) / (H_u h)(z) are fitted in one ``fit_circle_ratio`` call with
     numerator and denominator degree m - 1 (m the cluster dimension),
-    which raises FitError when the fit misses the samples.  The samples
+    which raises FitError when a fit misses its samples.  The samples
     must be unimodular and the fit's denominator proportional to the
     conjugate reflection of its numerator, else NotInnerError.  The
     numerator need not be Schur: for a random direction the ratio is
@@ -284,16 +287,20 @@ def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
         raise InputError("ratio certificate needs a positive spectral value")
     rng = np.random.default_rng(7) if rng is None else rng
     m_dim = cluster.dim
+    weights = []
+    for _ in range(RATIO_SAMPLES):
+        w = rng.standard_normal(m_dim) + 1j * rng.standard_normal(m_dim)
+        weights.append(w / np.linalg.norm(w))
+    h = cluster.basis @ np.array(weights).T
+    nums, dens, res, ratio, good = fit_circle_ratio(
+        cluster.s * h.T, details.actions[0](h).T, m_dim - 1, lambda i: f"sample {i}")
     samples = []
     for i in range(RATIO_SAMPLES):
-        w = rng.standard_normal(m_dim) + 1j * rng.standard_normal(m_dim)
-        h = cluster.basis @ (w / np.linalg.norm(w))
-        num, den, res, ratio = fit_circle_ratio(cluster.s * h, apply_H(u, h),
-                                                m_dim - 1)
-        uni = float(np.max(np.abs(np.abs(ratio) - 1.0)))
+        uni = float(np.max(np.abs(np.abs(ratio[i, good[i]]) - 1.0)))
         if uni > 1e-6:
             raise NotInnerError(
                 f"sample {i}: ratio is off the unit circle by {uni:.3e}")
+        num, den = Poly(nums[i]), Poly(dens[i])
         deg = max(num.degree, den.degree)
         refl = conj_reflect(num, deg).padded(deg + 1)
         dpad = den.padded(deg + 1)
@@ -305,7 +312,7 @@ def ratio_certificate(u: Symbol, cluster: MultiplicityCluster,
             raise NotInnerError(
                 f"sample {i}: denominator is not the reflected numerator "
                 f"(gap {gap:.3e})")
-        samples.append(RatioSample(float(res), uni, gap, deg))
+        samples.append(RatioSample(float(res[i]), uni, gap, deg))
     return tuple(samples)
 
 
@@ -330,6 +337,7 @@ def perturbation_sanity(result: AAKResult, n_samples: int = 200,
     z = np.exp(2j * np.pi * np.arange(m) / m)
     rv = m * np.fft.ifft(r, m)
     num, den, res = fit_rational_samples(z, rv, k - 1, k)
+    num, den = Poly(num), Poly(den)
     if not np.isfinite(res) or res > 1e-6 * max(float(np.max(np.abs(rv))), 1e-300):
         raise NumericalError(f"rank-k refit of the approximation failed ({res:.3e})")
     best = np.inf

@@ -21,6 +21,7 @@ TRIM_REL = 1e-12
 COPRIME_TOL = 1e-10
 COMPANION_MAX_DEGREE = 64
 MINOR_BLOCK_BYTES = 4 << 20
+_EPS = np.finfo(float).eps
 
 
 def next_pow2(n: int) -> int:
@@ -278,11 +279,16 @@ class CircleGrid:
 def fold_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     """Coefficients reduced modulo z**m - 1 and zero-padded to length m.
 
-    The reduction is exact at the M-th roots of unity, where z**M = 1.
+    Folds along the last axis, so a stack of coefficient rows folds in one
+    call.  The reduction is exact at the M-th roots of unity, where z**M = 1.
     """
-    out = np.zeros(-(-max(c.size, 1) // m) * m, dtype=complex)
-    out[: c.size] = c
-    return out.reshape(-1, m).sum(axis=0) if out.size > m else out
+    c = np.asarray(c, dtype=complex)
+    size = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (-(-max(size, 1) // m) * m,), dtype=complex)
+    out[..., :size] = c
+    if out.shape[-1] == m:
+        return out
+    return out.reshape(c.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
 def grid_transform(p: Poly | np.ndarray, m: int) -> CircleGrid:
@@ -347,32 +353,55 @@ def polymatrix_det_minors(entries, degree_bound: int):
 
 
 def fit_rational_samples(points: np.ndarray, values: np.ndarray,
-                         num_deg: int, den_deg: int):
+                         num_deg: int, den_deg: int, use=None):
     """Least-squares rational fit num/den with den(0) = 1 at given points.
 
-    Solves num(z_k) - values_k * den(z_k) = 0 in the least-squares sense.
-    The minimum-norm solution is taken, so when the data has lower true
-    degree the spurious common factors collapse to zero.  Returns
-    (num, den, residual) with residual = max_k |num(z_k)/den(z_k) - values_k|;
-    no analyticity validation is performed here.
+    Solves num(z_k) - values_k * den(z_k) = 0 in the least-squares sense,
+    for one row of values or for each row of a (k, M) stack at once.  use
+    is a boolean mask like values: a masked sample's equation is zeroed,
+    which gives the same minimizer as dropping the sample.  One batched
+    SVD gives the minimum-norm solution with gelsd's cutoff (singular
+    values at or below eps * max(M, p) * sigma_1 count as zero, M the
+    samples used, p the unknowns), so when the data has lower true degree
+    the spurious common factors collapse to zero.  Returns the coefficient
+    arrays (num, den), lengths num_deg + 1 and den_deg + 1, and residual =
+    max_k |num(z_k)/den(z_k) - values_k| over the used samples (inf when
+    den nearly vanishes at one of them), stacked like values; no
+    analyticity validation is performed here.
     """
     points = np.asarray(points, dtype=complex)
     values = np.asarray(values, dtype=complex)
-    if points.size < num_deg + den_deg + 1:
+    single = values.ndim == 1
+    values = values.reshape(-1, points.size)
+    use = (np.ones(values.shape, dtype=bool) if use is None
+           else np.asarray(use, dtype=bool).reshape(values.shape))
+    used = use.sum(axis=-1)
+    n_unknowns = num_deg + den_deg + 1
+    if used.min() < n_unknowns:
         raise InputError("not enough sample points for the requested degrees")
-    pow_num = points[:, None] ** np.arange(num_deg + 1)[None, :]
-    cols = [pow_num]
-    if den_deg >= 1:
-        pow_den = points[:, None] ** np.arange(1, den_deg + 1)[None, :]
-        cols.append(-values[:, None] * pow_den)
-    a = np.hstack(cols)
-    x, *_ = np.linalg.lstsq(a, values, rcond=None)
-    num = Poly(x[: num_deg + 1])
-    den = Poly(np.concatenate([[1.0], x[num_deg + 1:]]))
-    den_vals = den(points)
+    values = np.where(use, values, 0.0)
+    powers = np.ones((points.size, max(num_deg, den_deg) + 1), dtype=complex)
+    powers[:, 1:] = points[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    pow_num, pow_den = powers[:, : num_deg + 1], powers[:, 1: den_deg + 1]
+    a = np.empty(values.shape + (n_unknowns,), dtype=complex)
+    a[..., : num_deg + 1] = pow_num
+    a[..., num_deg + 1:] = -values[..., None] * pow_den
+    a *= use[..., None]
+    left, sv, right = np.linalg.svd(a, full_matrices=False)
+    keep = sv > _EPS * np.maximum(used, n_unknowns)[:, None] * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    rhs = (values[:, None, :] @ left.conj())[:, 0] * inv
+    x = (right.conj().transpose(0, 2, 1) @ rhs[..., None])[..., 0]
+    num = x[:, : num_deg + 1]
+    den = np.ones((x.shape[0], den_deg + 1), dtype=complex)
+    den[:, 1:] = x[:, num_deg + 1:]
+    den_vals = den[:, 1:] @ pow_den.T + 1.0
     bad = np.abs(den_vals) < 1e-14
-    if bad.all():
-        return num, den, np.inf
-    ratio = np.where(bad, np.inf, num(points) / np.where(bad, 1.0, den_vals))
-    residual = float(np.max(np.abs(ratio - values)))
+    fitted = np.divide(num @ pow_num.T, den_vals, out=np.zeros_like(den_vals),
+                       where=~bad)
+    residual = np.max(np.where(use, np.abs(fitted - values), 0.0), axis=-1)
+    residual[(bad & use).any(axis=-1)] = np.inf
+    if single:
+        return num[0], den[0], float(residual[0])
     return num, den, residual

@@ -14,14 +14,16 @@ never stored, so the spectral data holds positive values only.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bateman
-from .algebra import conj_reflect, fit_rational_samples, grid_transform, next_pow2
-from .blaschke import BlaschkeProduct, is_schur_poly, normalize_angle
+from .algebra import (TRIM_REL, Poly, fit_rational_samples, fold_coeffs, is_schur,
+                      next_pow2)
+from .blaschke import BlaschkeProduct, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
 from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, build_pair,
@@ -272,70 +274,150 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
     return ForwardDetails(clusters_h, clusters_k, essential, path, core_size, actions)
 
 
-def fit_circle_ratio(num_vec: np.ndarray, den_vec: np.ndarray, d: int):
-    """Fit the pointwise ratio num(z)/den(z) on the circle with degrees (d, d).
+@functools.lru_cache(maxsize=32)
+def _circle_powers(size: int, degree: int) -> np.ndarray:
+    """z**j at the size-th roots of unity z (rows), j = 0..degree (columns)."""
+    powers = np.exp(2j * np.pi * np.arange(size) / size)[:, None] ** np.arange(degree + 1)
+    powers.flags.writeable = False
+    return powers
 
-    Both coefficient vectors are sampled on a grid of at least 8 (d + 1)
-    roots of unity.  Grid points where the denominator nearly vanishes
-    (an inner ratio's two sides share those zeros) are masked out; a grid
-    with fewer than 4 d + 3 usable points is refined once by a factor 4.
-    Returns (num, den, residual, ratio samples); raises FitError when the
-    fit misses the samples by more than 1e-6 of their largest modulus.
+
+def _raise_rows(error, failed: np.ndarray, label, describe) -> None:
+    """Raise error naming the first failed row of a batch, if any failed.
+
+    label(i) names row i (default "row i"); describe(i) gives the check
+    and the number that tripped it.
     """
+    if failed.any():
+        rows = np.flatnonzero(failed)
+        r = int(rows[0])
+        name = f"row {r}" if label is None else label(r)
+        more = f" ({rows.size} of {failed.size} rows failed)" if rows.size > 1 else ""
+        raise error(f"{name}: {describe(r)}{more}")
+
+
+def fit_circle_ratio(num_vecs: np.ndarray, den_vecs: np.ndarray, d: int,
+                     label=None):
+    """Fit the pointwise ratios num(z)/den(z) on the circle with degrees (d, d).
+
+    num_vecs and den_vecs are (k, N) stacks of coefficient rows.  One FFT
+    samples all 2k rows on a common grid of at least 8 (d + 1) roots of
+    unity.  Each row masks the grid points where its denominator falls
+    below 1e-6 of its peak (an inner ratio's two sides share those zeros);
+    if any row keeps fewer than 4 d + 3 points, the grid is refined once by
+    a factor 4.  One batched fit_rational_samples call fits every row.
+    Returns the stacked (num, den, residual, ratio samples, mask); raises
+    FitError, naming the row (label(i), default "row i"), when a fit
+    misses its samples by more than 1e-6 of their largest modulus.
+    """
+    vecs = np.concatenate([num_vecs, den_vecs])
+    k = vecs.shape[0] // 2
+    need = 4 * d + 3
     size = next_pow2(max(8 * (d + 1), 32))
     for _ in range(2):
-        nv = grid_transform(np.asarray(num_vec, dtype=complex), size).samples
-        dv = grid_transform(np.asarray(den_vec, dtype=complex), size).samples
-        points = np.exp(2j * np.pi * np.arange(size) / size)
-        scale = float(np.max(np.abs(dv)))
-        if scale == 0.0:
-            raise InputError("ratio denominator vanishes identically")
-        good = np.abs(dv) > 1e-6 * scale
-        if int(good.sum()) >= 4 * d + 3:
+        samples = size * np.fft.ifft(fold_coeffs(vecs, size), axis=-1)
+        nv, dv = samples[:k], np.abs(samples[k:])
+        peak = dv.max(axis=-1)
+        _raise_rows(InputError, peak == 0.0, label,
+                    lambda r: "ratio denominator vanishes identically")
+        good = dv > 1e-6 * peak[:, None]
+        kept = good.sum(axis=-1)
+        if kept.min() >= need:
             break
         size *= 4
     else:
-        raise FitError("could not find enough well-conditioned ratio samples")
-    ratio = nv[good] / dv[good]
-    num, den, residual = fit_rational_samples(points[good], ratio, d, d)
-    if (not np.isfinite(residual)
-            or residual > RATIO_FIT_TOL * float(np.max(np.abs(ratio)))):
-        raise FitError(f"ratio fit residual {residual:.3e} above tolerance")
-    return num, den, residual, ratio
+        _raise_rows(FitError, kept < need, label,
+                    lambda r: f"only {kept[r]} of {size} ratio samples are "
+                              f"well conditioned (need {need})")
+    ratio = np.divide(nv, samples[k:], out=np.zeros_like(nv), where=good)
+    points = _circle_powers(size, 1)[:, 1]
+    num, den, residual = fit_rational_samples(points, ratio, d, d, use=good)
+    limit = RATIO_FIT_TOL * np.abs(ratio).max(axis=-1)
+    _raise_rows(FitError, ~(residual <= limit), label,
+                lambda r: f"ratio fit residual {residual[r]:.3e} above "
+                          f"tolerance {limit[r]:.3e}")
+    return num, den, residual, ratio, good
 
 
-def extract_blaschke(num_vec: np.ndarray, den_vec: np.ndarray,
-                     m: int) -> BlaschkeProduct:
-    """Fit the pointwise ratio num(z)/den(z) on the circle as an inner factor.
+def extract_blaschke(num_vecs: np.ndarray, den_vecs: np.ndarray, m: int,
+                     label=None) -> list:
+    """Fit the pointwise ratios num(z)/den(z) on the circle as inner factors.
 
-    The ratio of an essential cluster has an exact representation
-    exp(-i*psi) * P(z)/D(z) with P monic Schur of degree exactly m - 1 and
-    D its reflection.
+    The ratio of an essential cluster of dimension m has an exact
+    representation exp(-i*psi) * P(z)/D(z) with P monic Schur of degree
+    exactly m - 1 and D its reflection.  All rows of the (k, N) stacks
+    share one fit_circle_ratio call, and each check runs on all rows before
+    the next: degree exactly m - 1 under the 1e-12 trim rule, a leading
+    coefficient of unit modulus, Schur-Cohn on the monic rows, a
+    denominator equal to the reflected numerator, and unimodularity at 64
+    points (each within 1e-6).  A failed check raises, naming the first
+    row that tripped it (label(i), default "row i") and the number.
+    Returns one BlaschkeProduct per row.
     """
     d = m - 1
-    num, den, _, _ = fit_circle_ratio(num_vec, den_vec, d)
-    if num.degree != d:
-        raise DegreeMismatchError(
-            f"fitted inner factor has degree {num.degree}, expected {d}")
-    lead = num.coeffs[-1]
-    if abs(abs(lead) - 1.0) > UNIMODULAR_TOL:
-        raise NotInnerError(
-            f"leading coefficient modulus {abs(lead):.6f} is not 1")
-    monic = num * (1.0 / lead)
-    if not is_schur_poly(monic):
-        raise NotInnerError("fitted numerator is not a Schur polynomial")
-    reflected = conj_reflect(monic, d)
-    mismatch = np.max(np.abs(den.padded(d + 1) - reflected.padded(d + 1)))
-    if mismatch > UNIMODULAR_TOL * max(1.0, float(np.max(np.abs(reflected.coeffs)))):
-        raise NotInnerError(
-            f"fitted denominator is not the reflected numerator (gap {mismatch:.3e})")
-    psi = normalize_angle(-float(np.angle(lead)))
-    b = BlaschkeProduct(psi, monic)
-    check = np.exp(2j * np.pi * np.arange(64) / 64)
-    uni = float(np.max(np.abs(np.abs(b(check)) - 1.0)))
-    if uni > UNIMODULAR_TOL:
-        raise NotInnerError(f"fitted factor is off the unit circle by {uni:.3e}")
-    return b
+    num, den, _, _, _ = fit_circle_ratio(num_vecs, den_vecs, d, label)
+    mag = np.abs(num)
+    _raise_rows(DegreeMismatchError, mag[:, d] <= TRIM_REL * mag.max(axis=-1),
+                label, lambda r: f"fitted inner factor has degree "
+                                  f"{Poly(num[r]).degree}, expected {d}")
+    k, lead = num.shape[0], num[:, d]
+    _raise_rows(NotInnerError, np.abs(np.abs(lead) - 1.0) > UNIMODULAR_TOL, label,
+                lambda r: f"leading coefficient modulus {abs(lead[r]):.6f} is not 1")
+    monic = num * (1.0 / lead)[:, None]
+    monic[:, d] = 1.0
+    # the recursion runs row by row: on Python scalars it is about twice
+    # as fast per row as on the stack for the few rows a batch holds
+    schur = np.array([is_schur(row[-2::-1]) for row in monic])
+    _raise_rows(NotInnerError, ~schur, label,
+                lambda r: "fitted numerator is not a Schur polynomial")
+    reflected = np.conj(monic[:, ::-1])
+    mismatch = np.abs(den - reflected).max(axis=-1)
+    allowed = UNIMODULAR_TOL * np.maximum(1.0, np.abs(reflected).max(axis=-1))
+    _raise_rows(NotInnerError, mismatch > allowed, label,
+                lambda r: "fitted denominator is not the reflected numerator "
+                          f"(gap {mismatch[r]:.3e})")
+    on_circle = np.abs(np.concatenate([monic, reflected]) @ _circle_powers(64, d).T)
+    p_mod, d_mod = on_circle[:k], on_circle[k:]
+    uni = np.abs(np.divide(p_mod, d_mod, out=np.full_like(p_mod, np.inf),
+                           where=d_mod >= 1e-14) - 1.0).max(axis=-1)
+    _raise_rows(NotInnerError, ~(uni <= UNIMODULAR_TOL), label,
+                lambda r: f"fitted factor is off the unit circle by {uni[r]:.3e}")
+    return [BlaschkeProduct(normalize_angle(a), Poly(p))
+            for a, p in zip(-np.angle(lead), monic)]
+
+
+def _inner_factors(info: ForwardDetails) -> tuple:
+    """The BlaschkeProduct of every essential cluster, in order.
+
+    Clusters of one dimension form one batch: their projections P go
+    through their side's action as one block (one product F (A conj(P))
+    per side on the rational core) and through one extract_blaschke call.
+    """
+    essential = info.essential
+    plain, shifted = info.actions
+    groups = {}
+    for r, c in enumerate(essential):
+        groups.setdefault(c.dim, []).append(r)
+    psi = [None] * len(essential)
+    for dim, rows in sorted(groups.items()):
+        batch = [essential[r] for r in rows]
+        proj = np.array([c.projection_of_u for c in batch])
+        scaled = np.array([[c.s] for c in batch]) * proj
+        # plain rows fit s P / H(P), shifted rows K(P) / s P
+        plain_rows = np.array([[c.kind == "H"] for c in batch])
+        num = den = scaled
+        if plain_rows.any():
+            den = np.where(plain_rows, plain(proj.T).T, scaled)
+        if not plain_rows.all():
+            num = np.where(plain_rows, scaled, shifted(proj.T).T)
+
+        def label(i, rows=rows, batch=batch):
+            side = "plain" if batch[i].kind == "H" else "shifted"
+            return f"value r = {rows[i] + 1} (s_r = {batch[i].s:.6g}, {side} side)"
+
+        for r, b in zip(rows, extract_blaschke(num, den, dim, label)):
+            psi[r] = b
+    return tuple(psi)
 
 
 def forward(u: Symbol, details: bool = False):
@@ -343,22 +425,15 @@ def forward(u: Symbol, details: bool = False):
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
     is requested.  A rational symbol, and a coefficient-only one above
-    512 modes, forms no N x N matrix (see sigma_membership).
+    512 modes, forms no N x N matrix (see sigma_membership).  The inner
+    factors are fitted in one batched pass per cluster dimension
+    (_inner_factors): extract_blaschke runs once per distinct dimension,
+    not once per value.
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
     info = sigma_membership(u)
-    values = np.array([c.s for c in info.essential])
-    plain, shifted = info.actions
-    psi = []
-    for c in info.essential:
-        proj = c.projection_of_u
-        if c.kind == "H":
-            b = extract_blaschke(c.s * proj, plain(proj), c.dim)
-        else:
-            b = extract_blaschke(shifted(proj), c.s * proj, c.dim)
-        psi.append(b)
-    data = SpectralData(values, tuple(psi))
+    data = SpectralData(np.array([c.s for c in info.essential]), _inner_factors(info))
     return (data, info) if details else data
 
 

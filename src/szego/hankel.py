@@ -171,17 +171,21 @@ def _embedded_fft(c: np.ndarray) -> np.ndarray:
 
 def _fft_hankel(fc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y_n = sum_k c_{n+k} x_k by circulant embedding, O(N log N), from
-    fc = _embedded_fft(c)."""
-    n = x.size
-    conv = np.fft.ifft(fc * np.fft.fft(x[::-1], fc.size))
+    fc = _embedded_fft(c); x is a vector or an (N, k) block of columns."""
+    n = x.shape[0]
+    fc = fc.reshape(fc.shape + (1,) * (x.ndim - 1))
+    conv = np.fft.ifft(fc * np.fft.fft(x[::-1], fc.shape[0], axis=0), axis=0)
     return conv[n - 1: 2 * n - 1]
 
 
 def hankel_matvec(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_n = sum_k c_{n+k} x_k via circulant embedding, O(N log N)."""
+    """y_n = sum_k c_{n+k} x_k via circulant embedding, O(N log N).
+
+    x is a vector or an (N, k) block, whose columns share one FFT pass.
+    """
     c = np.asarray(c, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    if x.size != c.size:
+    if x.shape[0] != c.size:
         raise InputError("vector length does not match symbol truncation")
     return _fft_hankel(_embedded_fft(c), x)
 
@@ -244,14 +248,17 @@ def hankel_section(u: "Symbol", m: int) -> np.ndarray:
 
 
 def apply_H(u: Symbol, h: np.ndarray) -> np.ndarray:
-    """The antilinear Hankel action: project(u * conj(h)) in coefficients."""
+    """The antilinear Hankel action: project(u * conj(h)) in coefficients.
+
+    h is a vector or an (N, k) block of columns.
+    """
     return hankel_matvec(u.coeffs, np.conj(h))
 
 
 def apply_K(u: Symbol, h: np.ndarray) -> np.ndarray:
     """The shifted action: left-shift of apply_H, exact on the truncation."""
     y = apply_H(u, h)
-    return np.concatenate([y[1:], [0.0]])
+    return np.concatenate([y[1:], np.zeros_like(y[:1])])
 
 
 def shifted_coeffs(u: Symbol) -> np.ndarray:

@@ -224,7 +224,7 @@ def _aak_cases(seed: int):
         u = resize_symbol(Symbol(np.array([0.0, 1.0])), 4)
         data, det = forward(u, details=True)
         cluster = next(c for c in det.clusters_h if c.member)
-        samples = aak_mod.ratio_certificate(u, cluster, rng=ratio_rng)
+        samples = aak_mod.ratio_certificate(det, cluster, rng=ratio_rng)
         worst = max(max(s.fit_residual, s.unimodularity, s.reflection_gap)
                     for s in samples)
         return True, f"m={cluster.dim} worst residual {worst:.2e}"
@@ -232,7 +232,7 @@ def _aak_cases(seed: int):
     def ratio_random():
         data, det = forward(rand_result.u, details=True)
         cluster = next(c for c in det.clusters_h if c.member)
-        samples = aak_mod.ratio_certificate(rand_result.u, cluster, rng=ratio_rng)
+        samples = aak_mod.ratio_certificate(det, cluster, rng=ratio_rng)
         worst = max(max(s.fit_residual, s.unimodularity, s.reflection_gap)
                     for s in samples)
         return True, f"m={cluster.dim} worst residual {worst:.2e}"

@@ -160,7 +160,7 @@ def test_ratio_certificate_monomial():
     u = resize_symbol(Symbol(np.array([0.0, 1.0])), 8)
     _, details = forward(u, details=True)
     cluster = next(c for c in details.clusters_h if c.member)
-    samples = ratio_certificate(u, cluster)
+    samples = ratio_certificate(details, cluster)
     for sample in samples:
         assert sample.fit_residual < 1e-6
         assert sample.unimodularity < 1e-6
@@ -172,4 +172,20 @@ def test_ratio_certificate_rejects_shifted_clusters(hand_symbol):
     _, details = forward(u, details=True)
     k_member = next(c for c in details.clusters_k if c.member)
     with pytest.raises(InputError):
-        ratio_certificate(u, k_member)
+        ratio_certificate(details, k_member)
+
+
+def test_ratio_certificate_fits_against_the_exact_section():
+    # the core's cluster comes from the exact section; against the
+    # zero-padded truncation (tail 0.9**128 = 1.4e-6) the fit missed
+    u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.9])),
+                             n_modes=128)
+    _, details = forward(u, details=True)
+    assert details.path == "rational"
+    cluster = next(c for c in details.clusters_h if c.member)
+    samples = ratio_certificate(details, cluster)
+    assert len(samples) == 3
+    for sample in samples:
+        assert sample.fit_residual < 1e-6
+        assert sample.unimodularity < 1e-6
+        assert sample.reflection_gap < 1e-6

@@ -6,9 +6,9 @@ from numpy.polynomial import polynomial as npoly
 
 from szego import algebra
 from szego.algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
-                           grid_transform, interpolate, next_pow2,
-                           polymatrix_det_minors, root_free_on_closed_disc,
-                           trim_coeffs)
+                           fit_rational_samples, grid_transform, interpolate,
+                           next_pow2, polymatrix_det_minors,
+                           root_free_on_closed_disc, trim_coeffs)
 from szego.errors import InputError, NotAnalyticError
 
 
@@ -183,3 +183,36 @@ def test_polymatrix_det_matches_pointwise(rng, monkeypatch):
 def test_polymatrix_det_rejects_ragged_input():
     with pytest.raises(InputError):
         polymatrix_det_minors([[Poly.one()], [Poly.one(), Poly.one()]], 1)
+
+
+def _rational_samples(rng, rows, size):
+    """Samples at the size-th roots of unity of rows random (2, 2) rational functions."""
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    num = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+    den = np.ones((rows, 3), dtype=complex)
+    den[:, 1:] = 0.3 * (rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2)))
+    values = npoly.polyval(z, num.T) / npoly.polyval(z, den.T)
+    return z, values + 1e-9 * rng.standard_normal(values.shape)
+
+
+def test_stacked_rational_fit_matches_row_by_row_fits(rng):
+    z, values = _rational_samples(rng, 4, 64)
+    num, den, residual = fit_rational_samples(z, values, 2, 2)
+    assert num.shape == (4, 3) and den.shape == (4, 3) and residual.shape == (4,)
+    for r in range(4):
+        num_r, den_r, res_r = fit_rational_samples(z, values[r], 2, 2)
+        assert np.max(np.abs(num[r] - num_r)) < 1e-13
+        assert np.max(np.abs(den[r] - den_r)) < 1e-13
+        assert abs(residual[r] - res_r) < 1e-13
+
+
+def test_masked_samples_fit_as_if_dropped(rng):
+    z, values = _rational_samples(rng, 3, 64)
+    use = rng.random(values.shape) > 0.3
+    values[~use] = np.nan       # a masked sample is ignored, whatever it holds
+    num, den, residual = fit_rational_samples(z, values, 2, 2, use=use)
+    for r in range(3):
+        num_r, den_r, res_r = fit_rational_samples(z[use[r]], values[r, use[r]], 2, 2)
+        assert np.max(np.abs(num[r] - num_r)) < 1e-13
+        assert np.max(np.abs(den[r] - den_r)) < 1e-13
+        assert abs(residual[r] - res_r) < 1e-13

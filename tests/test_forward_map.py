@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -8,10 +9,10 @@ from szego import forward_map, hankel
 from szego.algebra import Poly, RationalFunction
 from szego.bateman import kappa_squares, tau_squares
 from szego.blaschke import BlaschkeProduct, from_zeros
-from szego.errors import (AmbiguousClusterWarning, InputError, NumericalError,
-                          SpectralInconsistencyError)
-from szego.forward_map import (SpectralData, cluster_eigenvalues, forward,
-                               real_diagnostics)
+from szego.errors import (AmbiguousClusterWarning, FitError, InputError,
+                          NotInnerError, NumericalError, SpectralInconsistencyError)
+from szego.forward_map import (SpectralData, cluster_eigenvalues, extract_blaschke,
+                               forward, real_diagnostics)
 from szego.hankel import DENSE_EIG_MAX, EigenSystem, Symbol, resize_symbol
 from szego.inverse_map import fourvalue_formula, synthesize
 from szego.verify import random_blaschke, random_spectral_data
@@ -294,3 +295,78 @@ def test_forward_never_returns_a_shorter_spectrum():
             assert np.all(np.abs(back.s - data.s) <= 1e-6 * data.s)
             whole[path] += 1
     assert min(whole.values()) >= 55
+
+
+def _inner_ratio_stack(rng, factors, n_modes=32):
+    """Coefficient rows whose circle ratios are the given inner factors.
+
+    Row r holds phase * P * g and D * g for a random g without zeros on
+    the closed disc, so the ratio num/den is exactly the factor.
+    """
+    num = np.zeros((len(factors), n_modes), dtype=complex)
+    den = np.zeros_like(num)
+    for r, b in enumerate(factors):
+        g = np.array([1.0, 0.4 * np.exp(2j * np.pi * rng.random())])
+        p = np.convolve(b.phase * b.p.coeffs, g)
+        d = np.convolve(b.d.coeffs, g)
+        num[r, : p.size], den[r, : d.size] = p, d
+    return num, den
+
+
+def test_stacked_inner_factors_match_row_by_row_fits(rng):
+    factors = [from_zeros([0.3 * np.exp(1j * t)], a)
+               for t, a in ((0.2, 0.5), (2.0, 4.0), (4.1, 1.3), (5.5, 0.0))]
+    num, den = _inner_ratio_stack(rng, factors)
+    stacked = extract_blaschke(num, den, 2)
+    for r, b in enumerate(stacked):
+        (single,) = extract_blaschke(num[r: r + 1], den[r: r + 1], 2)
+        assert abs(b.angle - single.angle) < 1e-13
+        assert np.max(np.abs(b.p.coeffs - single.p.coeffs)) < 1e-13
+        assert abs(np.exp(1j * b.angle) - np.exp(1j * factors[r].angle)) < 1e-10
+        assert np.max(np.abs(b.p.coeffs - factors[r].p.coeffs)) < 1e-10
+
+
+def test_batch_error_names_the_row_that_is_not_inner(rng):
+    factors = [from_zeros([0.3], 0.5), from_zeros([-0.2j], 1.0), from_zeros([0.1], 2.0)]
+    num, den = _inner_ratio_stack(rng, factors)
+    num[1] *= 2.0               # row 1's ratio has modulus 2 on the circle
+    with pytest.raises(NotInnerError,
+                       match=r"^row 1: leading coefficient modulus 2\.000000 is not 1$"):
+        extract_blaschke(num, den, 2)
+
+
+def _two_dimension_spectrum():
+    """q = 3 data whose clusters have dimensions 1 (constant factors) and 2."""
+    psi = tuple(from_zeros([0.3j], 0.7) if r in (1, 4) else BlaschkeProduct.constant(0.4 * r)
+                for r in range(5))
+    return SpectralData(np.array([6.0, 4.0, 2.0, 1.2, 0.6]), psi)
+
+
+def test_forward_fits_one_batch_per_cluster_dimension(monkeypatch):
+    data = _two_dimension_spectrum()
+    u = synthesize(data).u
+    dims = []
+    original = forward_map.extract_blaschke
+
+    def counted(num_vecs, den_vecs, m, *args):
+        dims.append(m)
+        return original(num_vecs, den_vecs, m, *args)
+
+    monkeypatch.setattr(forward_map, "extract_blaschke", counted)
+    back = forward(u)
+    assert sorted(dims) == [1, 2]
+    assert back.degrees == data.degrees
+    assert np.max(np.abs(back.s - data.s)) < 1e-10
+    assert np.max(np.abs(np.exp(1j * back.angles()) - np.exp(1j * data.angles()))) < 1e-10
+
+
+def test_forward_batch_errors_name_the_value(monkeypatch):
+    u = synthesize(_two_dimension_spectrum()).u
+    _, info = forward(u, details=True)
+    plain, shifted = info.actions
+    # a shifted action that reverses its image has no low-degree ratio
+    broken = dataclasses.replace(info, actions=(plain, lambda h: shifted(h)[::-1]))
+    monkeypatch.setattr(forward_map, "sigma_membership", lambda symbol: broken)
+    with pytest.raises(FitError, match=r"^value r = 4 \(s_r = 1\.2, shifted side\): "
+                                       r"ratio fit residual"):
+        forward(u)
