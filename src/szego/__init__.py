@@ -8,11 +8,10 @@ hierarchy, integrated both directly and through the spectral data.
 """
 
 from .algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
-                      grid_transform, interpolate, next_pow2,
-                      polymatrix_det_minors)
+                      grid_transform, next_pow2, polymatrix_det_minors)
 from .bateman import (IdentityReport, InterlacedValues, identity_residuals,
                       j_of_x, kappa_squares, tau_squares)
-from .blaschke import BlaschkeProduct, blaschke_mul, from_zeros, is_schur_poly
+from .blaschke import BlaschkeProduct, from_zeros
 from .errors import (AmbiguousClusterWarning, ConsistencyError,
                      DegreeMismatchError, FitError, HypothesisViolationError,
                      InputError, NotAnalyticError, NotInnerError,
@@ -40,21 +39,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AAKCertificate", "AAKResult", "AmbiguousClusterWarning",
     "BlaschkeProduct", "CMatrix", "CircleGrid", "ConservedRecord",
-    "ConsistencyError", "DegreeMismatchError", "FitError", "FlowComparison",
-    "ForwardDetails", "HankelPair", "HypothesisViolationError",
-    "IdentityReport", "InputError", "InterlacedValues", "MultiplicityCluster",
-    "NotAnalyticError", "NotInnerError", "NumericalError", "Poly",
-    "RationalFunction", "RealDiagnostics", "RoundtripReport", "SchmidtVector",
-    "SpectralData", "SpectralInconsistencyError", "StepSizeError", "Symbol",
+    "ConsistencyError", "DegreeMismatchError", "FitError",
+    "FlowComparison", "ForwardDetails", "HankelPair",
+    "HypothesisViolationError", "IdentityReport", "InputError",
+    "InterlacedValues", "MultiplicityCluster", "NotAnalyticError",
+    "NotInnerError", "NumericalError", "Poly", "RationalFunction",
+    "RealDiagnostics", "RoundtripReport", "SchmidtVector", "SpectralData",
+    "SpectralInconsistencyError", "StepSizeError", "Symbol",
     "SynthesisResult", "SzegoError", "Trajectory", "TravelingWaveReport",
-    "VerifyCase", "apply_H", "apply_K", "best_approx", "blaschke_mul",
-    "build_cmatrix", "build_pair", "collapsed_fourvalue", "compare_flows",
-    "conj_reflect", "conserved_quantities", "consistency_report",
-    "dense_hankel", "direct_evolve", "exact_evolve", "forward",
-    "fourvalue_formula", "from_zeros", "grid_transform", "hankel_matvec",
-    "hermitian_eigs", "identity_residuals", "interpolate", "is_schur_poly",
-    "j_of_x", "kappa_squares", "next_pow2", "perturbation_sanity",
-    "polymatrix_det_minors", "ratio_certificate", "real_diagnostics",
-    "resize_symbol", "roundtrip", "run_verify", "schmidt_vector",
-    "shift_symbol", "synthesize", "szego_rhs", "tau_squares", "traveling_wave",
+    "VerifyCase", "apply_H", "apply_K", "best_approx", "build_cmatrix",
+    "build_pair", "collapsed_fourvalue", "compare_flows", "conj_reflect",
+    "conserved_quantities", "consistency_report", "dense_hankel",
+    "direct_evolve", "exact_evolve", "forward", "fourvalue_formula",
+    "from_zeros", "grid_transform", "hankel_matvec", "hermitian_eigs",
+    "identity_residuals", "j_of_x", "kappa_squares", "next_pow2",
+    "perturbation_sanity", "polymatrix_det_minors", "ratio_certificate",
+    "real_diagnostics", "resize_symbol", "roundtrip", "run_verify",
+    "schmidt_vector", "shift_symbol", "synthesize", "szego_rhs",
+    "tau_squares", "traveling_wave",
 ]

@@ -7,11 +7,13 @@ unimodular on the circle; subtracting s times its analytic projection
 from u leaves a symbol whose Hankel matrix has rank k and distance
 exactly s_k from the original, which a dense SVD certifies.
 
-A symbol with a rational form is diagonalized on build_pair's m x m core
-of its exact section (Kronecker: the Hankel rank is at most m), whose
-eigenvectors are lifted to length N on the frame; no N x N square is
-formed before the certificate.  A coefficient-only symbol gets every
-eigenpair of the dense N x N square of its truncation.
+The square comes from build_pair, as in forward: a symbol with a
+rational form is diagonalized on the m x m core of its exact section
+(Kronecker: the Hankel rank is at most m), a coefficient-only symbol
+above 512 modes on the r x r square of its range frame, and one up to
+512 modes as the dense N x N square of its truncation.  Eigenvectors on
+a frame are lifted to length N, so above 512 modes no N x N square is
+formed before the certificate.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
 from .hankel import (TRUNCATION_CAP, EigenSystem, Symbol, _check_ku2, apply_H,
-                     build_pair, dense_square, exact_section, hermitian_eigs,
-                     lift_eigs, resize_symbol)
+                     build_pair, exact_section, hermitian_eigs, lift_eigs,
+                     resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
 GAP_FLOOR_REL = 1e-8
@@ -49,19 +51,19 @@ class SchmidtVector:
     residual: float
 
 
-def _square_eigs(u: Symbol) -> tuple[EigenSystem, int | None]:
-    """Eigensystem of the plain square of u, and the core size m or None.
+def _square_eigs(u: Symbol) -> tuple[EigenSystem, str, int | None]:
+    """Eigensystem of the plain square of u, its path and the frame width or None.
 
-    A symbol with a rational form is diagonalized on build_pair's m x m
-    core, whose eigenvectors are lifted to F y; a coefficient-only symbol
-    gets its dense N x N square.
+    build_pair's h2 is diagonalized whatever its path (the m x m core,
+    the r x r square on a range frame or the dense N x N square), its
+    identity residual is checked, and lift_eigs puts the eigenvectors on
+    a frame back to length N.
     """
-    if u.rational is None:
-        return hermitian_eigs(dense_square(u.coeffs)), None
     pair = build_pair(u)
     eigs = hermitian_eigs(pair.h2)
-    _check_ku2(pair.ku2_residual, eigs.values[0])
-    return lift_eigs(eigs, pair.frame), pair.frame.shape[1]
+    _check_ku2(pair.ku2_residual, eigs.values[0] if eigs.values.size else 0.0)
+    core_size = None if pair.frame is None else pair.frame.shape[1]
+    return lift_eigs(eigs, pair), pair.path, core_size
 
 
 def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
@@ -78,8 +80,11 @@ def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
     if eigs is None:
         eigs = _square_eigs(u)[0]
     vals = eigs.values
+    if vals.size == 0:
+        # the range frame of a zero matrix has no column
+        raise InputError("the square of a zero symbol has no eigenvalue")
     idx = int(np.argmin(np.abs(vals - s * s)))
-    top = float(vals[0]) if vals.size else 0.0
+    top = float(vals[0])
     if abs(vals[idx] - s * s) > 1e-6 * top:
         raise InputError(f"s**2 = {s * s:.6e} is not an eigenvalue of the square")
     v = eigs.vectors[:, idx]
@@ -103,8 +108,9 @@ class AAKCertificate:
     """Dense-SVD evidence that the approximation meets the AAK distance.
 
     path says how the square was diagonalized: "rational" (the m x m core
-    of the exact section, m = core_size) or "dense" (the N x N square,
-    core_size None).
+    of the exact section, m = core_size), "range" (the r x r square of a
+    coefficient-only symbol above 512 modes on its range frame,
+    r = core_size) or "dense" (the N x N square, core_size None).
     """
 
     s_target: float
@@ -194,20 +200,20 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     is numerically zero (k at least the rank) the symbol is its own best
     approximation and the distance is zero.
 
-    The square is diagonalized at the working size N on the rank-m core
-    of a rational symbol (whose other N - m singular values are zero) or
-    densely for a coefficient-only one.  The analytic projection of
-    phi = h / conj(h) runs on a grid of size 8N; if the projected
-    coefficients beyond N are not below 1e-8 of the largest, the
-    truncation doubles and the whole construction repeats.
+    The square is diagonalized at the working size N through build_pair:
+    on the rank-m core of a rational symbol or the range frame of a
+    coefficient-only one above 512 modes (the other singular values are
+    zero, to the frame's tolerance), or densely up to 512 modes.  The
+    analytic projection of phi = h / conj(h) runs on a grid of size 8N;
+    if the projected coefficients beyond N are not below 1e-8 of the
+    largest, the truncation doubles and the whole construction repeats.
     """
     if k < 1:
         raise InputError("approximation order k must be at least 1")
     n_work = _tight_truncation(u)
     while True:
         ub = resize_symbol(u, n_work)
-        eigs, core_size = _square_eigs(ub)
-        path = "dense" if core_size is None else "rational"
+        eigs, path, core_size = _square_eigs(ub)
         svals = np.sqrt(np.clip(eigs.values, 0.0, None))
         svals = np.pad(svals, (0, n_work - svals.size))
         top = float(svals[0])

@@ -302,15 +302,6 @@ def grid_transform(p: Poly | np.ndarray, m: int) -> CircleGrid:
     return CircleGrid(m, m * np.fft.ifft(fold_coeffs(c, m)))
 
 
-def interpolate(grid: CircleGrid, degree_bound: int) -> Poly:
-    """Recover a polynomial of degree <= degree_bound from its grid samples."""
-    if degree_bound >= grid.size:
-        raise InputError(
-            f"degree bound {degree_bound} aliases on a grid of size {grid.size}")
-    coeffs = np.fft.fft(grid.samples) / grid.size
-    return Poly(coeffs[: degree_bound + 1])
-
-
 def polymatrix_det_minors(entries, degree_bound: int):
     """Determinant and all first minors of a matrix of polynomials.
 

@@ -34,18 +34,6 @@ def normalize_angle(psi: float) -> float:
     return psi
 
 
-def is_schur_poly(p: Poly) -> bool:
-    """Schur test for a monic polynomial given low-degree-first."""
-    if p.degree < 0:
-        return False
-    if p.degree == 0:
-        return True
-    # a_k is the coefficient of z**(d-k): drop the leading 1 and reverse.
-    lead = p.coeffs[-1]
-    monic = p.coeffs / lead
-    return is_schur(monic[:-1][::-1])
-
-
 @dataclass(frozen=True, eq=False)
 class BlaschkeProduct:
     """Inner rational function exp(-i*angle) * P/D with P monic Schur."""
@@ -65,7 +53,8 @@ class BlaschkeProduct:
             raise InputError("Blaschke numerator must be monic")
         if abs(lead - 1.0) > 0:
             p = p * (1.0 / lead)
-        if not is_schur_poly(p):
+        # the non-leading coefficients of the monic p, highest degree first
+        if not is_schur(p.coeffs[-2::-1]):
             raise InputError("Blaschke numerator is not a Schur polynomial")
         object.__setattr__(self, "angle", psi)
         object.__setattr__(self, "p", p)
@@ -107,7 +96,3 @@ def blaschke_eval(b: BlaschkeProduct, z):
         raise NumericalError("Blaschke evaluation at a pole (|z| > 1 region)")
     return b.phase * b.p(z) / denom
 
-
-def blaschke_mul(a: BlaschkeProduct, b: BlaschkeProduct) -> BlaschkeProduct:
-    """Product of two Blaschke products: degrees add, angles add mod 2*pi."""
-    return BlaschkeProduct(a.angle + b.angle, a.p * b.p)

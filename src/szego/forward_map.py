@@ -26,10 +26,8 @@ from .algebra import (TRIM_REL, Poly, fit_rational_samples, fold_coeffs, is_schu
 from .blaschke import BlaschkeProduct, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (DENSE_EIG_MAX, EigenSystem, Symbol, _check_ku2, build_pair,
-                     check_shifted_square, dense_hankel, hermitian_eigs, lift_eigs,
-                     section_actions, shifted_coeffs, square_operator,
-                     truncation_actions)
+from .hankel import (Symbol, _check_ku2, build_pair, dense_hankel, hermitian_eigs,
+                     lift_eigs, section_actions, shifted_coeffs, truncation_actions)
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -167,13 +165,15 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
 class ForwardDetails:
     """Inspection payload accompanying a forward analysis.
 
-    path is "rational" (the m x m core of the exact section, m = core_size),
-    "dense" (both N x N squares, core_size None) or "lanczos" (the top
-    eigenpairs of the matrix-free squares, core_size None).  actions are
-    the antilinear maps h -> A conj(h) of the plain and the shifted matrix
-    whose eigenvectors the clusters hold: the exact section and its shift
-    on the core (section_actions), the zero-padded truncation otherwise
-    (truncation_actions).  forward fits the inner factors against them.
+    path is build_pair's: "rational" (the m x m core of the exact section,
+    m = core_size), "range" (the r x r squares of a coefficient-only
+    symbol above 512 modes on its range frame, r = core_size) or "dense"
+    (both N x N squares, core_size None).  actions are the antilinear maps
+    h -> A conj(h) of the plain and the shifted matrix whose eigenvectors
+    the clusters hold: the exact section and its shift for a rational
+    symbol (section_actions), the zero-padded truncation for a
+    coefficient-only one (truncation_actions).  forward fits the inner
+    factors against them.
     """
 
     clusters_h: list
@@ -191,43 +191,28 @@ class ForwardDetails:
 def sigma_membership(u: Symbol) -> ForwardDetails:
     """Cluster both squares and walk them once for the essential values.
 
-    A symbol with a rational form, at any N, goes through build_pair's
-    m x m core, whose eigenvectors y are lifted to F y on the frame.  A
-    coefficient-only symbol is fully diagonalized as a dense pair up to
-    512 modes; above that, its matrix-free squares give their top 64
-    eigenpairs by Lanczos.  One pass down both descending cluster lists
-    pairs a plain and a shifted cluster within _tol as one value (an
-    unmatched cluster has a match of dimension 0).  As the paper proves,
-    the two dimensions differ by exactly one; the larger side is
-    essential, the smaller must not see the symbol, and the essential
-    values alternate plain/shifted/plain/... from the top, or
-    SpectralInconsistencyError is raised.  An odd essential count puts
-    the zero on the shifted side.
+    build_pair gives both squares: on the m x m core of a rational
+    symbol, as N x N matrices for a coefficient-only one up to 512 modes,
+    and on a range frame of r columns above that.  hermitian_eigs
+    diagonalizes each, and lift_eigs takes the eigenvectors y on a frame
+    F to F y (checked against the N-mode squares on a range frame).  One
+    pass down both descending cluster lists pairs a plain and a shifted
+    cluster within _tol as one value (an unmatched cluster has a match of
+    dimension 0).  As the paper proves, the two dimensions differ by
+    exactly one; the larger side is essential, the smaller must not see
+    the symbol, and the essential values alternate plain/shifted/plain/...
+    from the top, or SpectralInconsistencyError is raised.  An odd
+    essential count puts the zero on the shifted side.
     """
     norm_u = u.l2_norm
-    n = u.n_modes
-    if u.rational is not None or n <= DENSE_EIG_MAX:
-        pair = build_pair(u)
-        es_h = hermitian_eigs(pair.h2)
-        _check_ku2(pair.ku2_residual, es_h.values[0])
-        es_k = hermitian_eigs(pair.k2)
-        es_h, es_k = (lift_eigs(es, pair.frame) for es in (es_h, es_k))
-        path, core_size = (("dense", None) if pair.frame is None else
-                           ("rational", pair.frame.shape[1]))
-        actions = (truncation_actions(u) if pair.frame is None else
-                   section_actions(pair.frame, pair.a0, pair.a1))
-    else:
-        k = min(64, n - 2)
-        kc = shifted_coeffs(u)
-        h2 = square_operator(u.coeffs)
-        k2 = square_operator(kc)
-        es_h = hermitian_eigs(h2, k=k)
-        check_shifted_square(h2, k2, u.coeffs, es_h.values[0])
-        # Lanczos cannot start on the zero operator of a constant symbol
-        es_k = (hermitian_eigs(k2, k=k) if kc.any() else
-                EigenSystem(np.zeros(0), np.zeros((n, 0), complex), 0.0, 0.0))
-        path, core_size = "lanczos", None
-        actions = truncation_actions(u)
+    pair = build_pair(u)
+    es_h = hermitian_eigs(pair.h2)
+    _check_ku2(pair.ku2_residual, es_h.values[0])
+    es_k = hermitian_eigs(pair.k2)
+    es_h, es_k = lift_eigs(es_h, pair), lift_eigs(es_k, pair, shifted=True)
+    core_size = None if pair.frame is None else pair.frame.shape[1]
+    actions = (truncation_actions(u) if u.rational is None else
+               section_actions(pair.frame, pair.a0, pair.a1))
     top = es_h.values[0]
     clusters_h = _enrich(cluster_eigenvalues(es_h.values, top), es_h.vectors,
                          u.coeffs, norm_u, "H")
@@ -271,7 +256,8 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    return ForwardDetails(clusters_h, clusters_k, essential, path, core_size, actions)
+    return ForwardDetails(clusters_h, clusters_k, essential, pair.path, core_size,
+                          actions)
 
 
 @functools.lru_cache(maxsize=32)

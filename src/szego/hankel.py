@@ -19,8 +19,10 @@ obeys the denominator's recurrence from n = m on, so c_{i+j} is
 sum_k O[i, k] c_{k+j}.  One thin QR O = F T puts both squares on the
 orthonormal frame F as m x m matrices, in O(N m**2).  A coefficient-only
 symbol is formed densely up to N = 512 and fully diagonalized by one
-LAPACK eigensolve; above that its squares stay matrix-free operators
-whose top eigenpairs come from Lanczos.
+LAPACK eigensolve.  Above that, a seeded range finder (Halko, Martinsson
+& Tropp, SIAM Rev. 2011, Alg. 4.2) grows an orthonormal N x r frame of
+range(G), which holds range(G~) (u = G e0), from batched FFT products of
+both, and both squares go onto it as r x r matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .algebra import Poly, RationalFunction, grid_transform, next_pow2, series_divide
 from .errors import ConsistencyError, InputError, NumericalError
@@ -43,7 +44,8 @@ TRUNCATION_CAP = 8192
 EIG_RESIDUAL_REL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
 KU2_RESIDUAL_REL = 1e-10
-IDENTITY_PROBES = 4
+RANGE_BLOCK = 16
+RANGE_PROBE_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
 EIG_CHECK_BLOCK = 64
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, MMAP_BYTES = -1, -3, 4 << 20
 
@@ -199,7 +201,11 @@ class FastHankel:
         self.fc = _embedded_fft(c)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _fft_hankel(self.fc, np.asarray(x, dtype=complex).reshape(self.n))
+        """G x for a vector or an (N, k) block x, whose columns share one FFT pass."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape[0] != self.n:
+            raise InputError("vector length does not match symbol truncation")
+        return _fft_hankel(self.fc, x)
 
 
 def dense_hankel(c: np.ndarray) -> np.ndarray:
@@ -220,31 +226,14 @@ def dense_square(c: np.ndarray) -> np.ndarray:
     return _gram(dense_hankel(c))
 
 
-def square_operator(c: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
-    """Matrix-free G G* of the Hankel matrix of c (two FFT matvecs per apply)."""
-    fh = FastHankel(c)
-
-    def mv(x):
-        return fh.matvec(np.conj(fh.matvec(np.conj(x))))
-
-    return scipy.sparse.linalg.LinearOperator((fh.n, fh.n), matvec=mv, dtype=complex)
-
-
 def exact_section(c: np.ndarray, m: int) -> np.ndarray:
-    """The m x m section H[i, j] = c_{i+j} of the first 2m - 1 coefficients."""
-    return scipy.linalg.hankel(c[:m], c[m - 1: 2 * m - 1])
-
-
-def hankel_section(u: "Symbol", m: int) -> np.ndarray:
-    """Exact m x m section H[i, j] = c_{i+j} from 2m - 1 coefficients.
+    """The m x m section H[i, j] = c_{i+j} of the first 2m - 1 coefficients.
 
     Unlike the zero-padded matrix of dense_hankel, this section of a
     rational symbol has rank bounded by the true Hankel rank with no
     truncation leakage, so it is the right object for rank certificates.
     """
-    if m < 1:
-        raise InputError("section size must be at least 1")
-    return exact_section(resize_symbol(u, 2 * m - 1).coeffs, m)
+    return scipy.linalg.hankel(c[:m], c[m - 1: 2 * m - 1])
 
 
 def apply_H(u: Symbol, h: np.ndarray) -> np.ndarray:
@@ -284,9 +273,11 @@ def section_actions(frame: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> tuple:
 class HankelPair:
     """Dense Hermitian squares of a symbol's truncated matrix and of its shift.
 
-    With a frame F (N x m, orthonormal columns) the squares are m x m and
-    stand for F h2 F* and F k2 F*, and the exact section and its shift
-    factor as F a0 and F a1 through the m x N strips a0 and a1; without a
+    With a frame F (N x r, orthonormal columns) the squares are r x r and
+    stand for F h2 F* and F k2 F*, and the matrix and its shift factor as
+    F a0 and F a1 through the r x N strips a0 and a1: exactly for the
+    exact section on the rational core (r = m), and up to the finder's
+    tolerance for the zero-padded truncation on a range frame.  Without a
     frame the squares are N x N and there are no strips.
     """
 
@@ -297,6 +288,13 @@ class HankelPair:
     frame: np.ndarray | None = None
     a0: np.ndarray | None = None
     a1: np.ndarray | None = None
+
+    @property
+    def path(self) -> str:
+        """"dense" (no frame), "rational" (the exact section's core) or "range"."""
+        if self.frame is None:
+            return "dense"
+        return "range" if self.symbol.rational is None else "rational"
 
 
 def _check_ku2(residual: float, h2_norm: float) -> float:
@@ -328,43 +326,84 @@ def _rational_core(u: Symbol) -> tuple:
     return frame, _gram(a0), _gram(a1), a0, a1
 
 
+def _range_frame(ops) -> np.ndarray:
+    """Orthonormal N x r frame Q holding the range of each Hankel matrix in ops.
+
+    Halko, Martinsson & Tropp's adaptive range finder (SIAM Rev. 2011,
+    Alg. 4.2) on seeded blocks of RANGE_BLOCK complex Gaussian columns w:
+    the residual of each matrix's FFT product A w off Q adds its left
+    singular vectors above tol = EIG_RESIDUAL_REL * s / RANGE_PROBE_FACTOR,
+    s being the running lower bound max ||A w|| / ||w|| on s_1(A).  A fresh
+    block within tol for every A ends the search: ||(I - Q Q*) A|| <=
+    EIG_RESIDUAL_REL * s then fails with probability 10**-RANGE_BLOCK (their
+    eq. 4.3).  A frame wider than DENSE_EIG_MAX raises NumericalError.
+    """
+    rng = np.random.default_rng(0)
+    n = ops[0].n
+    frame = np.zeros((n, 0), dtype=complex)
+    tops = [0.0] * len(ops)
+    grown = True
+    while grown:
+        grown = False
+        probe = (rng.standard_normal((n, RANGE_BLOCK))
+                 + 1j * rng.standard_normal((n, RANGE_BLOCK))) / np.sqrt(2.0)
+        scale = np.linalg.norm(probe, axis=0)
+        for i, op in enumerate(ops):
+            block = op.matvec(probe)
+            tops[i] = max(tops[i], float(np.max(np.linalg.norm(block, axis=0) / scale)))
+            block -= frame @ (frame.conj().T @ block)
+            residual = float(np.linalg.norm(block, axis=0).max())
+            tol = EIG_RESIDUAL_REL * tops[i] / RANGE_PROBE_FACTOR
+            if residual <= tol:
+                continue
+            left, sv, _ = np.linalg.svd(block, full_matrices=False)
+            width = frame.shape[1] + int(np.sum(sv > tol))
+            if width > DENSE_EIG_MAX:
+                raise NumericalError(
+                    f"range frame of width {width} passes the cap of {DENSE_EIG_MAX} "
+                    f"(probe residual {residual:.3e} above {tol:.3e})")
+            # a direction of small singular value carries the projection's
+            # rounding divided by that value: project it out again
+            fresh = left[:, sv > tol]
+            fresh -= frame @ (frame.conj().T @ fresh)
+            frame = np.hstack([frame, np.linalg.qr(fresh)[0]])
+            grown = True
+    return frame
+
+
 def build_pair(u: Symbol) -> HankelPair:
     """Assemble the Hermitian squares of the plain and shifted matrices.
 
     A symbol with a rational form gets both squares of its exact N x N
     section on the frame F of the section's range (_rational_core), as
-    m x m matrices, with the strips they are squares of; a
+    m x m matrices, with the strips they are squares of.  A
     coefficient-only symbol gets the N x N squares of its zero-padded
-    truncation.  The identity k2 = h2 - outer(b, conj(b)),
-    with b = F* u on the frame and b = u without it, holds exactly on the
-    truncation and up to the section's tail c_N..c_{2N-1} on the exact
-    section; its numerical (Frobenius) residual is stored.  It must stay
-    below 1e-10 times the norm of h2, which is the top eigenvalue of h2:
-    the caller that diagonalizes h2 checks it (_check_ku2).
+    truncation up to DENSE_EIG_MAX (512) modes, and above that their
+    r x r squares on one range frame Q of G and G~ (_range_frame), whose
+    ranges nest because G~ G~* = G G* - u u* and u = G e0.  The identity
+    k2 = h2 - outer(b, conj(b)), with b = F* u on a frame and b = u
+    without one, holds exactly on the truncation (on any frame of it) and
+    up to the section's tail c_N..c_{2N-1} on the exact section; its
+    numerical (Frobenius) residual is stored.  It must stay below 1e-10
+    times the norm of h2, which is the top eigenvalue of h2: the caller
+    that diagonalizes h2 checks it (_check_ku2).
     """
-    if u.rational is None:
+    if u.rational is not None:
+        frame, h2, k2, a0, a1 = _rational_core(u)
+    elif u.n_modes <= DENSE_EIG_MAX:
         frame = a0 = a1 = None
-        b = u.coeffs
         h2, k2 = dense_square(u.coeffs), dense_square(shifted_coeffs(u))
     else:
-        frame, h2, k2, a0, a1 = _rational_core(u)
-        b = frame.conj().T @ u.coeffs
+        ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
+        frame = _range_frame(ops)
+        # G and G~ are complex symmetric: each strip Q* A = (A conj(Q))^T is
+        # one FFT product, and a zero G~ (a constant symbol) gives zeros
+        a0, a1 = (op.matvec(np.conj(frame)).T for op in ops)
+        h2, k2 = _gram(a0), _gram(a1)
+    b = u.coeffs if frame is None else frame.conj().T @ u.coeffs
     gap = h2 - np.outer(b, np.conj(b))
     gap -= k2
     return HankelPair(u, h2, k2, float(np.linalg.norm(gap)), frame, a0, a1)
-
-
-def check_shifted_square(h2, k2, c: np.ndarray, h2_norm: float) -> float:
-    """Matrix-free k2 = h2 - outer(c, conj(c)) on seeded unit probes x.
-
-    Each ||k2 x - h2 x + c (c* x)|| must stay within build_pair's bound.
-    """
-    rng = np.random.default_rng(0)
-    x = (rng.standard_normal((c.size, IDENTITY_PROBES))
-         + 1j * rng.standard_normal((c.size, IDENTITY_PROBES)))
-    x /= np.linalg.norm(x, axis=0)
-    r = k2 @ x - h2 @ x + np.outer(c, np.conj(c) @ x)
-    return _check_ku2(float(np.max(np.linalg.norm(r, axis=0))), h2_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,13 +416,28 @@ class EigenSystem:
     orthonormality: float
 
 
-def lift_eigs(es: EigenSystem, frame: np.ndarray | None) -> EigenSystem:
-    """An eigensystem of a pair's square with vectors of length N.
+def lift_eigs(es: EigenSystem, pair: HankelPair, shifted: bool = False) -> EigenSystem:
+    """An eigensystem of a pair's plain (or shifted) square with vectors of length N.
 
-    On a frame F the eigenvectors y of the m x m core become F y; without
-    one the eigensystem already has them and comes back as it is.
+    Without a frame the eigensystem already has them and comes back as it
+    is.  On a frame F the eigenvectors y of the r x r square become F y.
+    A range frame holds range(G) only to the finder's tolerance, so its
+    lifted pairs are checked by _validate_eigs, with hermitian_eigs'
+    bounds, against the N-mode square of G or G~ from its own
+    coefficients (a large c_0 then puts no rounding into the shifted one).
     """
-    return es if frame is None else replace(es, vectors=frame @ es.vectors)
+    if pair.frame is None:
+        return es
+    vectors = pair.frame @ es.vectors
+    if pair.path != "range":
+        return replace(es, vectors=vectors)
+    u = pair.symbol
+    op = FastHankel(shifted_coeffs(u) if shifted else u.coeffs)
+    top = es.values[0] if es.values.size else 0.0
+    # A A* x = A conj(A conj(x)) for a complex symmetric A
+    res, ortho = _validate_eigs(lambda x: op.matvec(np.conj(op.matvec(np.conj(x)))),
+                                es.values, vectors, top)
+    return EigenSystem(es.values, vectors, res, ortho)
 
 
 def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:
@@ -420,48 +474,23 @@ def _asymmetry(a: np.ndarray) -> tuple[float, float]:
     return herm, scale
 
 
-def hermitian_eigs(a, k: int | None = None) -> EigenSystem:
-    """Eigendecomposition of a Hermitian PSD matrix or linear operator.
+def hermitian_eigs(a: np.ndarray) -> EigenSystem:
+    """Every eigenpair of a dense Hermitian PSD matrix.
 
-    A dense matrix gets every eigenpair from one LAPACK divide-and-conquer
-    solve (zheevd, whose work copy becomes the eigenvectors); a matrix-free
-    operator gets its top k by Lanczos (ARPACK eigsh, from a start vector
-    seeded with 0 so that runs repeat bitwise), and k is required for an
-    operator only.  Eigenvalues come back descending, clipped at
-    zero (the dense vectors as a column-reversed view).  The Hermitian
-    check of a dense matrix, the residual check ||A v - lambda v|| <=
+    One LAPACK divide-and-conquer solve (zheevd, whose work copy becomes
+    the eigenvectors) takes the N x N squares of the dense path and the
+    r x r squares on a frame alike.  Eigenvalues come back descending,
+    clipped at zero, with the vectors as a column-reversed view.  The
+    Hermitian check, the residual check ||A v - lambda v|| <=
     1e-10 lambda_max and the orthonormality check |V* V - I| <= 1e-12 all
     run over column blocks and are enforced.
     """
-    apply_a = lambda x: a @ x
-    if isinstance(a, np.ndarray):
-        if k is not None:
-            raise InputError("a dense matrix gets all its eigenpairs, not the top k")
-        herm, scale = _asymmetry(a)
-        if herm > 1e-12 * (scale or 1.0):
-            raise InputError(f"matrix is not Hermitian (asymmetry {herm:.3e})")
-        vals, vecs = scipy.linalg.eigh(a, driver="evd", check_finite=False)
-        vals = np.clip(vals, 0.0, None)
-        # checked on LAPACK's contiguous ascending columns, returned as reversed views
-        res, ortho = _validate_eigs(apply_a, vals, vecs, vals[-1] if vals.size else 0.0)
-        return EigenSystem(vals[::-1], vecs[:, ::-1], res, ortho)
-    if k is None:
-        raise InputError("matrix-free eigendecomposition needs an explicit k")
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="LA", v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
-    # Lanczos loses orthogonality between vectors of nearly equal
-    # eigenvalues; a Rayleigh-Ritz pass in the returned subspace
-    # restores it without changing the subspace.
-    q_mat = np.linalg.qr(vecs)[0]
-    t_mat = q_mat.conj().T @ apply_a(q_mat)
-    t_mat = 0.5 * (t_mat + t_mat.conj().T)
-    tvals, tvecs = np.linalg.eigh(t_mat)
-    order = np.argsort(tvals)[::-1]
-    vals = np.clip(tvals[order], 0.0, None)
-    vecs = q_mat @ tvecs[:, order]
-    res, ortho = _validate_eigs(apply_a, vals, vecs, vals[0] if vals.size else 0.0)
-    return EigenSystem(vals, vecs, res, ortho)
+    herm, scale = _asymmetry(a)
+    if herm > 1e-12 * (scale or 1.0):
+        raise InputError(f"matrix is not Hermitian (asymmetry {herm:.3e})")
+    vals, vecs = scipy.linalg.eigh(a, driver="evd", check_finite=False)
+    vals = np.clip(vals, 0.0, None)
+    # checked on LAPACK's contiguous ascending columns, returned as reversed views
+    res, ortho = _validate_eigs(lambda x: a @ x, vals, vecs,
+                                vals[-1] if vals.size else 0.0)
+    return EigenSystem(vals[::-1], vecs[:, ::-1], res, ortho)

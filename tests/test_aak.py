@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from szego import aak
+from szego import aak, hankel
 from szego.algebra import Poly, RationalFunction
 from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
                        ratio_certificate, schmidt_vector)
@@ -55,7 +55,7 @@ def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
         raise AssertionError("best_approx started an eigensolve")
 
     monkeypatch.setattr(aak, "hermitian_eigs", no_eigensolve)
-    monkeypatch.setattr(aak, "dense_square", no_eigensolve)
+    monkeypatch.setattr(hankel, "dense_square", no_eigensolve)
     monkeypatch.setattr(aak, "build_pair", no_eigensolve)
     with pytest.raises(NumericalError, match="cap of 8192 modes"):
         best_approx(u, 1)
@@ -92,7 +92,7 @@ def test_schmidt_vector_of_a_rational_symbol_uses_the_core(monkeypatch,
     def refuse(c):
         raise AssertionError("an N x N square was formed")
 
-    monkeypatch.setattr(aak, "dense_square", refuse)
+    monkeypatch.setattr(hankel, "dense_square", refuse)
     sv = schmidt_vector(rank_one_symbol, 1.0)
     assert sv.h.size == rank_one_symbol.n_modes
     assert sv.residual < 1e-9
@@ -121,13 +121,38 @@ def test_best_approx_core_matches_the_dense_path(make):
     assert dense.certificate.truncation == n_work
 
 
+def test_best_approx_of_coefficients_above_the_cutoff_matches_the_core():
+    # the 1024 coefficients alone take the range frame: rank 2, as the core
+    u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])
+    core = best_approx(u, 1)
+    n_work = core.certificate.truncation
+    framed = best_approx(Symbol(resize_symbol(u, n_work).coeffs), 1)
+    assert n_work == 1024
+    assert (framed.certificate.path, framed.certificate.core_size) == ("range", 2)
+    assert abs(framed.s - core.s) <= 1e-12 * core.s
+    # the dense N x N square of the same coefficients gives r to 3.05e-12
+    r_gap = np.linalg.norm(framed.r.coeffs - core.r.coeffs)
+    assert r_gap <= 1e-11 * np.linalg.norm(core.r.coeffs)
+    op_gap = abs(framed.certificate.op_norm - core.certificate.op_norm)
+    assert op_gap <= 1e-12 * core.certificate.op_norm
+    assert framed.certificate.rank == core.certificate.rank
+
+
+def test_zero_coefficients_above_the_cutoff_are_rejected():
+    # the range frame of a zero matrix has no column, so h2 is 0 x 0
+    with pytest.raises(InputError, match="numerically zero"):
+        best_approx(Symbol(np.zeros(1024)), 1)
+    with pytest.raises(InputError, match="zero symbol has no eigenvalue"):
+        schmidt_vector(Symbol(np.zeros(1024)), 1.0)
+
+
 def test_rational_symbol_forms_no_square(monkeypatch):
     def refuse(c):
         raise AssertionError("an N x N square was formed")
 
     sizes = []
     eigs = aak.hermitian_eigs
-    monkeypatch.setattr(aak, "dense_square", refuse)
+    monkeypatch.setattr(hankel, "dense_square", refuse)
     monkeypatch.setattr(aak, "hermitian_eigs",
                         lambda a: sizes.append(a.shape[0]) or eigs(a))
     u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])

@@ -134,22 +134,24 @@ def test_projection_norms_match_closed_forms():
 def test_matrix_free_path_rank_one_closed_form():
     # 1/(1 - r z) has s = 1/(1 - r**2) on the plain side and r/(1 - r**2)
     # on the shifted side; r = 0.962 resolves at N = 1024, above the cutoff,
-    # and the coefficients alone take the matrix-free path
+    # and the coefficients alone take the range frame
     r = 0.962
     u = Symbol(Symbol.from_rational(
         RationalFunction(Poly([1.0]), Poly([1.0, -r]))).coeffs)
     assert u.n_modes == 1024 > DENSE_EIG_MAX
-    data = forward(u)
+    data, details = forward(u, details=True)
+    assert (details.path, details.core_size) == ("range", 1)
     expect = np.array([1.0, r]) / (1.0 - r * r)
     assert data.n == 2
     assert np.max(np.abs(data.s - expect)) < 1e-9 * expect[0]
 
 
 def test_constant_symbol_above_the_dense_cutoff():
-    # the shifted square is the zero operator, which Lanczos cannot start on
+    # the range frame has one column and the shifted square is zero
     u = resize_symbol(Symbol(np.array([0.5])), 1024)
     assert u.n_modes > DENSE_EIG_MAX
-    data = forward(u)
+    data, details = forward(u, details=True)
+    assert (details.path, details.core_size) == ("range", 1)
     assert data.n == 1
     assert abs(data.s[0] - 0.5) < 1e-12
 
@@ -162,6 +164,32 @@ def test_matrix_free_path_repeats_bitwise():
     assert np.array_equal(first.angles(), second.angles())
     for a, b in zip(first.psi, second.psi):
         assert np.array_equal(a.p.coeffs, b.p.coeffs)
+
+
+def test_range_frame_sees_a_rank_above_64():
+    # a degree-99 polynomial has Hankel rank 100; padded to 1024 modes it
+    # takes the range frame and must give the values of its dense analysis
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    dense = forward(Symbol(c))
+    framed, details = forward(resize_symbol(Symbol(c), 1024), details=True)
+    assert details.path == "range"
+    assert framed.n == dense.n > 128
+    assert np.max(np.abs(framed.s - dense.s) / dense.s) < 1e-8
+
+
+def test_range_frame_resolves_a_shifted_matrix_far_below_the_plain_one():
+    # c_0 = 1e6 over a geometric random tail: s_1(G~) is about 1e-6 s_1(G),
+    # and the shifted pairs must still meet their bounds at the scale of G~;
+    # the tail is gone long before 512 modes, so the dense analysis agrees
+    rng = np.random.default_rng(3)
+    c = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) * 0.5 ** np.arange(1024)
+    c[0] = 1e6
+    dense = forward(Symbol(c[:DENSE_EIG_MAX]))
+    framed, details = forward(Symbol(c), details=True)
+    assert details.path == "range"
+    assert framed.n == dense.n == 2
+    assert np.max(np.abs(framed.s - dense.s) / dense.s) < 1e-10
 
 
 def test_rational_core_matches_the_dense_path():
@@ -183,11 +211,11 @@ def test_rational_core_matches_the_dense_path():
 
 @pytest.mark.parametrize("r, n_modes", [(0.98, 2048), (0.99, 4096)])
 def test_rational_core_near_the_circle_forms_no_large_square(monkeypatch, r, n_modes):
-    def refuse(c):
-        raise AssertionError("an N x N square or operator was formed")
+    def refuse(arg):
+        raise AssertionError("an N x N square or a range frame was formed")
 
     monkeypatch.setattr(hankel, "dense_square", refuse)
-    monkeypatch.setattr(forward_map, "square_operator", refuse)
+    monkeypatch.setattr(hankel, "_range_frame", refuse)
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
     assert u.n_modes == n_modes
     data, details = forward(u, details=True)
@@ -233,7 +261,7 @@ def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
                                                k_vals, k_order, rule):
     pair = SimpleNamespace(h2=_eigensystem(h_vals, [0, 1, 2, 3]),
                            k2=_eigensystem(k_vals, k_order), ku2_residual=0.0,
-                           frame=None)
+                           frame=None, path="dense")
     monkeypatch.setattr(forward_map, "build_pair", lambda u: pair)
     monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
     with pytest.raises(SpectralInconsistencyError, match=rule):
@@ -271,11 +299,11 @@ def _wide_range_data(rng) -> SpectralData:
 
 
 def test_forward_never_returns_a_shorter_spectrum():
-    # every data set comes back whole on the rational core, the dense and
-    # the matrix-free path, or the analysis raises a named numerical error
+    # every data set comes back whole on the rational core, the dense path
+    # and the range frame, or the analysis raises a named numerical error
     rng = np.random.default_rng(0)
     paths = {"rational": lambda u: u, "dense": lambda u: Symbol(u.coeffs),
-             "lanczos": lambda u: Symbol(resize_symbol(u, 1024).coeffs)}
+             "range": lambda u: Symbol(resize_symbol(u, 1024).coeffs)}
     whole = dict.fromkeys(paths, 0)
     for _ in range(60):
         data = _wide_range_data(rng)

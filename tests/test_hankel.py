@@ -5,11 +5,10 @@ import scipy.linalg
 from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError, NumericalError
 from szego import forward_map
-from szego.hankel import (HankelPair, Symbol, _validate_eigs, apply_H, apply_K,
-                          build_pair, check_shifted_square, dense_hankel,
-                          dense_square, hankel_matvec, hankel_section,
-                          hermitian_eigs, resize_symbol, shift_symbol,
-                          shifted_coeffs, square_operator)
+from szego.hankel import (DENSE_EIG_MAX, HankelPair, Symbol, _gram, _validate_eigs,
+                          apply_H, apply_K, build_pair, dense_hankel, dense_square,
+                          exact_section, hankel_matvec, hermitian_eigs, lift_eigs,
+                          resize_symbol, shift_symbol, shifted_coeffs)
 
 
 def test_dense_hankel_hand_values(hand_symbol):
@@ -18,7 +17,7 @@ def test_dense_hankel_hand_values(hand_symbol):
 
 
 def test_hankel_section_extends_with_exact_coefficients(rank_one_symbol):
-    sec = hankel_section(rank_one_symbol, 3)
+    sec = exact_section(resize_symbol(rank_one_symbol, 5).coeffs, 3)
     expect = np.array([[0.75 * 0.5 ** (i + j) for j in range(3)]
                        for i in range(3)])
     assert np.allclose(sec, expect, atol=1e-14)
@@ -27,7 +26,7 @@ def test_hankel_section_extends_with_exact_coefficients(rank_one_symbol):
 def test_hankel_section_rank_is_the_denominator_degree():
     rf = RationalFunction(Poly([0.0, 1.0]), Poly([1.0, 0.0, 0.0, -0.3]))
     u = Symbol.from_rational(rf)
-    sv = scipy.linalg.svdvals(hankel_section(u, 24))
+    sv = scipy.linalg.svdvals(exact_section(resize_symbol(u, 47).coeffs, 24))
     assert int(np.sum(sv > 1e-10 * sv[0])) == 3
 
 
@@ -70,19 +69,6 @@ def test_rational_pair_is_the_exact_section_on_its_frame(n_modes):
         section = scipy.linalg.hankel(cc[:n_modes], cc[n_modes - 1: 2 * n_modes - 1])
         want = section @ section.conj().T
         assert np.max(np.abs(f @ sq @ f.conj().T - want)) < 1e-13 * np.max(np.abs(want))
-
-
-def test_matrix_free_shifted_square_identity(rng):
-    c = rng.standard_normal(600) + 1j * rng.standard_normal(600)
-    c *= 0.9 ** np.arange(600)
-    h2 = square_operator(c)
-    k2 = square_operator(shifted_coeffs(Symbol(c)))
-    top = hermitian_eigs(h2, k=1).values[0]
-    assert check_shifted_square(h2, k2, c, top) <= 1e-10 * top
-    # the shift of a different symbol breaks the identity
-    other = square_operator(np.concatenate([c[2:], [0.0, 0.0]]))
-    with pytest.raises(ConsistencyError):
-        check_shifted_square(h2, other, c, top)
 
 
 def test_apply_k_drops_constant(hand_symbol):
@@ -163,23 +149,46 @@ def test_forward_checks_the_shifted_square_identity(monkeypatch, rank_one_symbol
         forward_map.forward(u)
 
 
-def test_hermitian_eigs_dense_matrix_takes_no_k(rng):
-    a = rng.standard_normal((8, 8))
-    with pytest.raises(InputError):
-        hermitian_eigs(a @ a.T, k=2)
-    with pytest.raises(InputError):
-        hermitian_eigs(square_operator(rng.standard_normal(8)))
-
-
-@pytest.mark.parametrize("coeffs_of", [lambda u: u.coeffs, shifted_coeffs],
-                         ids=["plain", "shifted"])
-def test_hermitian_eigs_operator_path(rng, coeffs_of):
+@pytest.mark.parametrize("side", ["plain", "shifted"])
+def test_hermitian_eigs_operator_path(rng, side):
+    # 700 coefficient-only modes, above the dense cutoff: both squares come
+    # as r x r matrices on one range frame, and meet the identity
     c = rng.standard_normal(700) + 1j * rng.standard_normal(700)
     c *= 0.5 ** np.arange(700)
-    cc = coeffs_of(Symbol(c))
-    top = hermitian_eigs(square_operator(cc), k=4)
+    pair = build_pair(Symbol(c))
+    assert pair.path == "range" and pair.h2.shape[0] < 100
+    sq, cc = ((pair.h2, c) if side == "plain"
+              else (pair.k2, shifted_coeffs(Symbol(c))))
+    eigs = hermitian_eigs(sq)
+    top = eigs.values[:4]
     dense = np.linalg.eigvalsh(dense_hankel(cc) @ np.conj(dense_hankel(cc)))[::-1]
-    assert np.max(np.abs(top.values - dense[:4])) < 1e-9 * dense[0]
+    assert np.max(np.abs(top - dense[:4])) < 1e-9 * dense[0]
+    assert pair.ku2_residual <= 1e-10 * hermitian_eigs(pair.h2).values[0]
+    # the lifted pairs meet hermitian_eigs' bounds against the 700-mode square
+    lifted = lift_eigs(eigs, pair, shifted=side == "shifted")
+    assert lifted.max_residual <= 1e-10 * eigs.values[0]
+    assert lifted.orthonormality <= 1e-12
+    assert forward_map.forward(Symbol(c)).n > 0
+
+
+def test_range_lift_checks_the_pairs_against_the_full_square():
+    # a frame that misses a direction of range(G) passes the r x r solve,
+    # but its lifted pairs fail against the N-mode square
+    u = resize_symbol(Symbol(np.array([3.0, 2.0, 1.0])), 1024)
+    pair = build_pair(u)
+    assert (pair.path, pair.frame.shape[1]) == ("range", 3)
+    lift_eigs(hermitian_eigs(pair.h2), pair)
+    frame, a0, a1 = pair.frame[:, :2], pair.a0[:2], pair.a1[:2]
+    thin = HankelPair(u, _gram(a0), _gram(a1), 0.0, frame, a0, a1)
+    with pytest.raises(ConsistencyError, match="eigen residual"):
+        lift_eigs(hermitian_eigs(thin.h2), thin)
+
+
+def test_range_frame_wider_than_the_cap_raises(rng):
+    # undamped coefficients have full Hankel rank, beyond any 512-column frame
+    u = Symbol(rng.standard_normal(2 * DENSE_EIG_MAX))
+    with pytest.raises(NumericalError, match="range frame of width 5[0-9][0-9]"):
+        build_pair(u)
 
 
 def test_dense_square_is_the_hermitian_square(rng):
