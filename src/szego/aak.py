@@ -7,13 +7,13 @@ unimodular on the circle; subtracting s times its analytic projection
 from u leaves a symbol whose Hankel matrix has rank k and distance
 exactly s_k from the original, which a dense SVD certifies.
 
-The square comes from build_pair, as in forward: a symbol with a
-rational form is diagonalized on the m x m core of its exact section
-(Kronecker: the Hankel rank is at most m), a coefficient-only symbol
-above 512 modes on the r x r square of its range frame, and one up to
-512 modes as the dense N x N square of its truncation.  Eigenvectors on
-a frame are lifted to length N, so above 512 modes no N x N square is
-formed before the certificate.
+The eigenpairs of the square come from one SVD of build_pair's plain
+factor, as in forward: the m x N strip of the exact section on its core
+for a symbol with a rational form (Kronecker: the Hankel rank is at most
+m), the r x N strip on a range frame for a coefficient-only symbol above
+512 modes, and the N x N truncated matrix itself up to 512 modes.
+Eigenvectors on a frame are lifted to length N, so above 512 modes no
+N x N matrix is formed before the certificate.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ class SchmidtVector:
 def _square_eigs(u: Symbol) -> tuple[EigenSystem, str, int | None]:
     """Eigensystem of the plain square of u, its path and the frame width or None.
 
-    build_pair's h2 is diagonalized whatever its path (the m x m core,
-    the r x r square on a range frame or the dense N x N square), its
-    identity residual is checked, and lift_eigs puts the eigenvectors on
-    a frame back to length N.
+    hermitian_eigs takes one SVD of build_pair's plain factor a0 whatever
+    its path (the m x N strip on the core, the r x N strip on a range
+    frame or the N x N matrix), the identity residual is checked, and
+    lift_eigs puts the eigenvectors on a frame back to length N.
     """
     pair = build_pair(u)
-    eigs = hermitian_eigs(pair.h2)
+    eigs = hermitian_eigs(pair.a0)
     _check_ku2(pair.ku2_residual, eigs.values[0] if eigs.values.size else 0.0)
     core_size = None if pair.frame is None else pair.frame.shape[1]
     return lift_eigs(eigs, pair), pair.path, core_size
@@ -200,13 +200,14 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     is numerically zero (k at least the rank) the symbol is its own best
     approximation and the distance is zero.
 
-    The square is diagonalized at the working size N through build_pair:
-    on the rank-m core of a rational symbol or the range frame of a
-    coefficient-only one above 512 modes (the other singular values are
-    zero, to the frame's tolerance), or densely up to 512 modes.  The
-    analytic projection of phi = h / conj(h) runs on a grid of size 8N;
-    if the projected coefficients beyond N are not below 1e-8 of the
-    largest, the truncation doubles and the whole construction repeats.
+    The singular values come from one SVD of build_pair's plain factor at
+    the working size N: on the rank-m core of a rational symbol or the
+    range frame of a coefficient-only one above 512 modes (the other
+    singular values are zero, to the frame's tolerance), or of the N x N
+    matrix up to 512 modes.  The analytic projection of phi = h / conj(h)
+    runs on a grid of size 8N; if the projected coefficients beyond N are
+    not below 1e-8 of the largest, the truncation doubles and the whole
+    construction repeats.
     """
     if k < 1:
         raise InputError("approximation order k must be at least 1")
@@ -214,7 +215,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     while True:
         ub = resize_symbol(u, n_work)
         eigs, path, core_size = _square_eigs(ub)
-        svals = np.sqrt(np.clip(eigs.values, 0.0, None))
+        svals = np.sqrt(eigs.values)
         svals = np.pad(svals, (0, n_work - svals.size))
         top = float(svals[0])
         if top == 0.0:

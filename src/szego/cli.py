@@ -161,7 +161,8 @@ def cmd_analyze(args) -> int:
     tau2 = tau_squares(interlaced)
     kap2 = kappa_squares(interlaced)
     print(f"symbol: {u.n_modes} modes, |u| = {u.l2_norm:.12g}")
-    print(f"forward path: {_path_text(details.path, details.core_size)}")
+    print(f"forward path: {_path_text(details.path, details.core_size)}, "
+          f"zero floor {details.s_floor:.0e} s_1")
     print(f"spectral values: n = {data.n}")
     h_idx = k_idx = 0
     bateman_gap = 0.0

@@ -1,7 +1,7 @@
 """The forward spectral map: symbol to interlaced values and inner factors.
 
-Pipeline: diagonalize both Hermitian squares of the truncated pair,
-group nearly equal eigenvalues into multiplicity clusters, pair the plain
+Pipeline: square the singular values of both factors of the truncated
+pair (one SVD each), group them into multiplicity clusters, pair the plain
 and shifted clusters of each value and keep the side one dimension larger,
 onto which the symbol projects, and recover the inner factor of each such
 essential cluster from the pointwise ratio of the projection against the
@@ -31,7 +31,6 @@ from .hankel import (Symbol, _check_ku2, build_pair, dense_hankel, hermitian_eig
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
-ZERO_FLOOR_REL = 1e-12
 REAL_ZERO_FLOOR_REL = 1e-8
 AMBIGUOUS_GAP_FACTOR = 3.0
 RATIO_FIT_TOL = 1e-6
@@ -120,23 +119,23 @@ class SpectralData:
         return np.array([b.angle for b in self.psi])
 
 
-def _tol(value: float, top: float) -> float:
+def _tol(value: float, top: float, floor: float) -> float:
     """Distance within which eigenvalues near value count as equal."""
-    return CLUSTER_REL_TOL * value + ZERO_FLOOR_REL * top
+    return CLUSTER_REL_TOL * value + floor * top
 
 
-def cluster_eigenvalues(eigs: np.ndarray, top: float):
+def cluster_eigenvalues(eigs: np.ndarray, top: float, floor: float):
     """Group the positive descending eigenvalues into multiplicity clusters.
 
-    top is s_1**2, the top of the plain square, for both squares.  Adjacent
-    values merge when their gap is within _tol of the larger one; values at
-    or below ZERO_FLOOR_REL * top are the kernel and form no cluster.  A
-    gap between clusters below 3 * _tol triggers an ambiguity warning.
-    Returns a list of (mean value, index array).
+    top is s_1**2, the top of the plain square, for both squares, and floor
+    the pair's zero_floor.  Adjacent values merge when their gap is within
+    _tol of the larger one; values at or below floor * top are the kernel
+    and form no cluster.  A gap between clusters below 3 * _tol triggers
+    an ambiguity warning.  Returns a list of (mean value, index array).
     """
     eigs = np.asarray(eigs, dtype=float)
-    eigs = eigs[eigs > ZERO_FLOOR_REL * top]
-    gaps, tols = -np.diff(eigs), _tol(eigs[:-1], top)
+    eigs = eigs[eigs > floor * top]
+    gaps, tols = -np.diff(eigs), _tol(eigs[:-1], top, floor)
     cuts = np.flatnonzero(gaps > tols)
     for gap in gaps[cuts][gaps[cuts] < AMBIGUOUS_GAP_FACTOR * tols[cuts]]:
         warnings.warn(
@@ -165,15 +164,16 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
 class ForwardDetails:
     """Inspection payload accompanying a forward analysis.
 
-    path is build_pair's: "rational" (the m x m core of the exact section,
-    m = core_size), "range" (the r x r squares of a coefficient-only
-    symbol above 512 modes on its range frame, r = core_size) or "dense"
-    (both N x N squares, core_size None).  actions are the antilinear maps
-    h -> A conj(h) of the plain and the shifted matrix whose eigenvectors
-    the clusters hold: the exact section and its shift for a rational
-    symbol (section_actions), the zero-padded truncation for a
-    coefficient-only one (truncation_actions).  forward fits the inner
-    factors against them.
+    path is build_pair's: "rational" (the exact section's m x N strips,
+    m = core_size), "range" (the r x N strips of a coefficient-only symbol
+    above 512 modes on its range frame, r = core_size) or "dense" (both
+    N x N matrices, core_size None).  Values at or below s_floor * s_1 were
+    taken as zero (1e-9 on the core, 1e-6 otherwise).  actions are the
+    antilinear maps h -> A conj(h) of the plain and the shifted matrix
+    whose eigenvectors the clusters hold: the exact section and its shift
+    for a rational symbol (section_actions), the zero-padded truncation
+    for a coefficient-only one (truncation_actions).  forward fits the
+    inner factors against them.
     """
 
     clusters_h: list
@@ -182,6 +182,7 @@ class ForwardDetails:
     path: str
     core_size: int | None
     actions: tuple         # (plain, shifted)
+    s_floor: float
 
     @property
     def zero_in_shifted(self) -> bool:
@@ -191,32 +192,33 @@ class ForwardDetails:
 def sigma_membership(u: Symbol) -> ForwardDetails:
     """Cluster both squares and walk them once for the essential values.
 
-    build_pair gives both squares: on the m x m core of a rational
-    symbol, as N x N matrices for a coefficient-only one up to 512 modes,
-    and on a range frame of r columns above that.  hermitian_eigs
-    diagonalizes each, and lift_eigs takes the eigenvectors y on a frame
-    F to F y (checked against the N-mode squares on a range frame).  One
-    pass down both descending cluster lists pairs a plain and a shifted
-    cluster within _tol as one value (an unmatched cluster has a match of
-    dimension 0).  As the paper proves, the two dimensions differ by
-    exactly one; the larger side is essential, the smaller must not see
-    the symbol, and the essential values alternate plain/shifted/plain/...
-    from the top, or SpectralInconsistencyError is raised.  An odd
-    essential count puts the zero on the shifted side.
+    build_pair gives both factors: m x N strips on the core of a rational
+    symbol, N x N matrices for a coefficient-only one up to 512 modes, and
+    r x N strips on a range frame above that.  hermitian_eigs squares the
+    singular values of each, and lift_eigs takes the left singular vectors
+    y on a frame F to F y (checked against the N-mode squares on a range
+    frame).  Clustering uses the pair's zero_floor.  One pass down both
+    descending cluster lists pairs a plain and a shifted cluster within
+    _tol as one value (an unmatched cluster has a match of dimension 0).
+    As the paper proves, the two dimensions differ by exactly one; the
+    larger side is essential, the smaller must not see the symbol, and the
+    essential values alternate plain/shifted/plain/... from the top, or
+    SpectralInconsistencyError is raised.  An odd essential count puts the
+    zero on the shifted side.
     """
     norm_u = u.l2_norm
     pair = build_pair(u)
-    es_h = hermitian_eigs(pair.h2)
+    es_h = hermitian_eigs(pair.a0)
     _check_ku2(pair.ku2_residual, es_h.values[0])
-    es_k = hermitian_eigs(pair.k2)
+    es_k = hermitian_eigs(pair.a1)
     es_h, es_k = lift_eigs(es_h, pair), lift_eigs(es_k, pair, shifted=True)
     core_size = None if pair.frame is None else pair.frame.shape[1]
     actions = (truncation_actions(u) if u.rational is None else
                section_actions(pair.frame, pair.a0, pair.a1))
-    top = es_h.values[0]
-    clusters_h = _enrich(cluster_eigenvalues(es_h.values, top), es_h.vectors,
+    top, floor = es_h.values[0], pair.zero_floor
+    clusters_h = _enrich(cluster_eigenvalues(es_h.values, top, floor), es_h.vectors,
                          u.coeffs, norm_u, "H")
-    clusters_k = _enrich(cluster_eigenvalues(es_k.values, top), es_k.vectors,
+    clusters_k = _enrich(cluster_eigenvalues(es_k.values, top, floor), es_k.vectors,
                          u.coeffs, norm_u, "K")
 
     essential = []
@@ -226,7 +228,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         ck = clusters_k[j] if j < len(clusters_k) else None
         # the larger cluster stands alone unless the other one matches it
         if ch is not None and ck is not None:
-            tol = _tol(max(ch.value, ck.value), top)
+            tol = _tol(max(ch.value, ck.value), top, floor)
             if ch.value > ck.value + tol:
                 ck = None
             elif ck.value > ch.value + tol:
@@ -257,7 +259,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
     return ForwardDetails(clusters_h, clusters_k, essential, pair.path, core_size,
-                          actions)
+                          actions, float(np.sqrt(floor)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,26 +3,26 @@
 A symbol u(z) = sum c_n z**n is represented by its first N Fourier
 coefficients, optionally backed by an exact rational form.  The Hankel
 matrix G[n, k] = c_{n+k} acts antilinearly through h -> G conj(h); the
-shifted matrix uses c_{n+k+1}.  Squares G G* and G~ G~* are Hermitian
-positive semidefinite and satisfy the exact truncation identity
+shifted matrix uses c_{n+k+1}.  Their squares satisfy the exact
+truncation identity G~ G~* = G G* - outer(u, conj(u)).  Matvecs run in
+O(N log N) through circulant embedding.
 
-    (shifted square) = (square) - outer(u, conj(u)).
-
-Matvecs run in O(N log N) through circulant embedding.
-
-A symbol with a rational form is analyzed on the exact N x N section
-c_{i+j} and its shift c_{i+j+1}.  Both have rank at most
-m = max(deg den, deg num + 1) (Kronecker) and factor through the range
-of the N x m observability strip O, whose column j holds the Taylor
+build_pair returns factors, never squares, and hermitian_eigs takes one
+SVD of a factor (the square-root method of Laub, Heath, Paige & Ward,
+IEEE TAC 1987): eigenvector errors grow like eps s_1 / gap(s), not
+eps s_1**2 / gap(s**2).  A symbol with a rational form is analyzed on the
+exact N x N section c_{i+j} and its shift c_{i+j+1}.  Both have rank at
+most m = max(deg den, deg num + 1) (Kronecker) and factor through the
+range of the N x m observability strip O, whose column j holds the Taylor
 coefficients of (den z**j mod z**m) / den: the sequence n -> c_{n+j}
 obeys the denominator's recurrence from n = m on, so c_{i+j} is
-sum_k O[i, k] c_{k+j}.  One thin QR O = F T puts both squares on the
-orthonormal frame F as m x m matrices, in O(N m**2).  A coefficient-only
-symbol is formed densely up to N = 512 and fully diagonalized by one
-LAPACK eigensolve.  Above that, a seeded range finder (Halko, Martinsson
-& Tropp, SIAM Rev. 2011, Alg. 4.2) grows an orthonormal N x r frame of
-range(G), which holds range(G~) (u = G e0), from batched FFT products of
-both, and both squares go onto it as r x r matrices.
+sum_k O[i, k] c_{k+j}.  One thin QR O = F T gives both factors on the
+orthonormal frame F as m x N strips, in O(N m**2).  A coefficient-only
+symbol keeps G and G~ up to N = 512.  Above that, a seeded range finder
+(Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.2) grows an
+orthonormal N x r frame of range(G), which holds range(G~) (u = G e0),
+from batched FFT products of both, and both factors go onto it as r x N
+strips.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ TRUNCATION_CAP = 8192
 EIG_RESIDUAL_REL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
 KU2_RESIDUAL_REL = 1e-10
+# kernel floors on s**2 / s_1**2: the core's factors are exact (rank <= m, no
+# tail), a zero-padded truncation has spurious values at its tail's level
+ZERO_FLOOR_REL = 1e-12
+CORE_ZERO_FLOOR_REL = 1e-18
 RANGE_BLOCK = 16
 RANGE_PROBE_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
 EIG_CHECK_BLOCK = 64
@@ -213,17 +217,13 @@ def dense_hankel(c: np.ndarray) -> np.ndarray:
     return scipy.linalg.hankel(c, np.concatenate([c[-1:], np.zeros(c.size - 1)]))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """a a*, symmetrized in place: one temporary fewer at the peak of build_pair."""
-    sq = a @ a.conj().T
+def dense_square(c: np.ndarray) -> np.ndarray:
+    """The Hermitian square G G* of dense_hankel(c), symmetrized in place."""
+    g = dense_hankel(c)
+    sq = g @ g.conj().T
     sq += sq.conj().T
     sq *= 0.5
     return sq
-
-
-def dense_square(c: np.ndarray) -> np.ndarray:
-    """The Hermitian square G G* of dense_hankel(c), symmetrized."""
-    return _gram(dense_hankel(c))
 
 
 def exact_section(c: np.ndarray, m: int) -> np.ndarray:
@@ -271,23 +271,20 @@ def section_actions(frame: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class HankelPair:
-    """Dense Hermitian squares of a symbol's truncated matrix and of its shift.
+    """A symbol's Hankel matrix and its shift, as the factors a0 and a1.
 
-    With a frame F (N x r, orthonormal columns) the squares are r x r and
-    stand for F h2 F* and F k2 F*, and the matrix and its shift factor as
-    F a0 and F a1 through the r x N strips a0 and a1: exactly for the
+    With a frame F (N x r, orthonormal columns) the matrix and its shift
+    are F a0 and F a1 through the r x N strips a0 and a1: exactly for the
     exact section on the rational core (r = m), and up to the finder's
     tolerance for the zero-padded truncation on a range frame.  Without a
-    frame the squares are N x N and there are no strips.
+    frame a0 and a1 are G and G~ themselves (N x N).  No square is stored.
     """
 
     symbol: Symbol
-    h2: np.ndarray
-    k2: np.ndarray
+    a0: np.ndarray
+    a1: np.ndarray
     ku2_residual: float
     frame: np.ndarray | None = None
-    a0: np.ndarray | None = None
-    a1: np.ndarray | None = None
 
     @property
     def path(self) -> str:
@@ -296,22 +293,28 @@ class HankelPair:
             return "dense"
         return "range" if self.symbol.rational is None else "rational"
 
+    @property
+    def zero_floor(self) -> float:
+        """Eigenvalues of a a* at or below this times s_1**2 are the kernel:
+        1e-18 (s down to 1e-9 s_1) on the exact core, 1e-12 on a truncation."""
+        return CORE_ZERO_FLOOR_REL if self.path == "rational" else ZERO_FLOOR_REL
 
-def _check_ku2(residual: float, h2_norm: float) -> float:
-    if h2_norm > 0.0 and residual > KU2_RESIDUAL_REL * h2_norm:
+
+def _check_ku2(residual: float, top: float) -> float:
+    if top > 0.0 and residual > KU2_RESIDUAL_REL * top:
         raise ConsistencyError(
             f"shifted-square identity residual {residual:.3e} exceeds "
-            f"{KU2_RESIDUAL_REL:.1e} * {h2_norm:.3e}")
+            f"{KU2_RESIDUAL_REL:.1e} * {top:.3e}")
     return residual
 
 
 def _rational_core(u: Symbol) -> tuple:
-    """Frame F, the m x m squares of the exact section and its shift, and their strips.
+    """Frame F and the strips of the exact section and its shift on it.
 
     O = F T is the thin QR of the N x m observability strip and R the
     m x (N + 1) strip R[i, j] = c_{i+j}, so the section is F A0 and its
     shift F A1, with A0 = T R0 and A1 = T R1 (m x N) and R0, R1 the
-    columns 0..N-1 and 1..N of R.  Returns (F, A0 A0*, A1 A1*, A0, A1).
+    columns 0..N-1 and 1..N of R.  Returns (F, A0, A1).
     """
     rf = u.rational
     n, m = u.n_modes, rf.rank_bound
@@ -322,8 +325,7 @@ def _rational_core(u: Symbol) -> tuple:
     frame, tri = np.linalg.qr(series_divide(obs, rf.den))
     c = rf.taylor(n + m)
     strip = tri @ scipy.linalg.hankel(c[:m], c[m - 1:])
-    a0, a1 = strip[:, :n], strip[:, 1:]
-    return frame, _gram(a0), _gram(a1), a0, a1
+    return frame, strip[:, :n], strip[:, 1:]
 
 
 def _range_frame(ops) -> np.ndarray:
@@ -372,38 +374,39 @@ def _range_frame(ops) -> np.ndarray:
 
 
 def build_pair(u: Symbol) -> HankelPair:
-    """Assemble the Hermitian squares of the plain and shifted matrices.
+    """Assemble the factors of the plain and shifted matrices.
 
-    A symbol with a rational form gets both squares of its exact N x N
-    section on the frame F of the section's range (_rational_core), as
-    m x m matrices, with the strips they are squares of.  A
-    coefficient-only symbol gets the N x N squares of its zero-padded
-    truncation up to DENSE_EIG_MAX (512) modes, and above that their
-    r x r squares on one range frame Q of G and G~ (_range_frame), whose
-    ranges nest because G~ G~* = G G* - u u* and u = G e0.  The identity
-    k2 = h2 - outer(b, conj(b)), with b = F* u on a frame and b = u
-    without one, holds exactly on the truncation (on any frame of it) and
-    up to the section's tail c_N..c_{2N-1} on the exact section; its
-    numerical (Frobenius) residual is stored.  It must stay below 1e-10
-    times the norm of h2, which is the top eigenvalue of h2: the caller
-    that diagonalizes h2 checks it (_check_ku2).
+    A symbol with a rational form gets the m x N strips of its exact
+    N x N section and of its shift on the frame F of the section's range
+    (_rational_core).  A coefficient-only symbol gets the N x N matrices
+    G and G~ of its zero-padded truncation up to DENSE_EIG_MAX (512)
+    modes, and above that their r x N strips on one range frame Q of G
+    and G~ (_range_frame), whose ranges nest because
+    G~ G~* = G G* - u u* and u = G e0.  The identity
+    a1 a1* = a0 a0* - outer(b, conj(b)), with b = F* u on a frame and
+    b = u without one, holds exactly on the truncation (on any frame of
+    it) and up to the section's tail c_N..c_{2N-1} on the exact section;
+    its numerical (Frobenius) residual is stored, and these Gram products
+    are formed for nothing else.  It must stay below 1e-10 times
+    ||a0 a0*||, which is s_1**2: the caller that diagonalizes a0 a0*
+    checks it (_check_ku2).
     """
     if u.rational is not None:
-        frame, h2, k2, a0, a1 = _rational_core(u)
+        frame, a0, a1 = _rational_core(u)
     elif u.n_modes <= DENSE_EIG_MAX:
-        frame = a0 = a1 = None
-        h2, k2 = dense_square(u.coeffs), dense_square(shifted_coeffs(u))
+        frame = None
+        a0, a1 = dense_hankel(u.coeffs), dense_hankel(shifted_coeffs(u))
     else:
         ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
         frame = _range_frame(ops)
         # G and G~ are complex symmetric: each strip Q* A = (A conj(Q))^T is
         # one FFT product, and a zero G~ (a constant symbol) gives zeros
         a0, a1 = (op.matvec(np.conj(frame)).T for op in ops)
-        h2, k2 = _gram(a0), _gram(a1)
     b = u.coeffs if frame is None else frame.conj().T @ u.coeffs
-    gap = h2 - np.outer(b, np.conj(b))
-    gap -= k2
-    return HankelPair(u, h2, k2, float(np.linalg.norm(gap)), frame, a0, a1)
+    gap = a0 @ a0.conj().T
+    gap -= np.outer(b, np.conj(b))
+    gap -= a1 @ a1.conj().T
+    return HankelPair(u, a0, a1, float(np.linalg.norm(gap)), frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +423,8 @@ def lift_eigs(es: EigenSystem, pair: HankelPair, shifted: bool = False) -> Eigen
     """An eigensystem of a pair's plain (or shifted) square with vectors of length N.
 
     Without a frame the eigensystem already has them and comes back as it
-    is.  On a frame F the eigenvectors y of the r x r square become F y.
+    is.  On a frame F the eigenvectors y of the r x r square a a* of a
+    strip become F y.
     A range frame holds range(G) only to the finder's tolerance, so its
     lifted pairs are checked by _validate_eigs, with hermitian_eigs'
     bounds, against the N-mode square of G or G~ from its own
@@ -463,34 +467,19 @@ def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:
     return residual, ortho
 
 
-def _asymmetry(a: np.ndarray) -> tuple[float, float]:
-    """max |a - a*| and max |a|, over blocks of EIG_CHECK_BLOCK columns."""
-    herm = scale = 0.0
-    for start in range(0, a.shape[0], EIG_CHECK_BLOCK):
-        block = slice(start, start + EIG_CHECK_BLOCK)
-        cols = a[:, block]
-        herm = max(herm, float(np.max(np.abs(cols - a[block, :].conj().T))))
-        scale = max(scale, float(np.max(np.abs(cols))))
-    return herm, scale
-
-
 def hermitian_eigs(a: np.ndarray) -> EigenSystem:
-    """Every eigenpair of a dense Hermitian PSD matrix.
+    """Every eigenpair of the Hermitian square a a* of an r x N factor, r <= N.
 
-    One LAPACK divide-and-conquer solve (zheevd, whose work copy becomes
-    the eigenvectors) takes the N x N squares of the dense path and the
-    r x r squares on a frame alike.  Eigenvalues come back descending,
-    clipped at zero, with the vectors as a column-reversed view.  The
-    Hermitian check, the residual check ||A v - lambda v|| <=
-    1e-10 lambda_max and the orthonormality check |V* V - I| <= 1e-12 all
-    run over column blocks and are enforced.
+    One LAPACK SVD of a (gesdd) gives them: the eigenvalues are the
+    squared singular values, descending, and the eigenvectors the left
+    singular vectors.  This takes the N x N matrices of the dense path
+    and the r x N strips on a frame alike, and never forms a a*.  The
+    residual check ||a (a* v) - lambda v|| <= 1e-10 lambda_max and the
+    orthonormality check |V* V - I| <= 1e-12 run over column blocks and
+    are enforced.
     """
-    herm, scale = _asymmetry(a)
-    if herm > 1e-12 * (scale or 1.0):
-        raise InputError(f"matrix is not Hermitian (asymmetry {herm:.3e})")
-    vals, vecs = scipy.linalg.eigh(a, driver="evd", check_finite=False)
-    vals = np.clip(vals, 0.0, None)
-    # checked on LAPACK's contiguous ascending columns, returned as reversed views
-    res, ortho = _validate_eigs(lambda x: a @ x, vals, vecs,
-                                vals[-1] if vals.size else 0.0)
-    return EigenSystem(vals[::-1], vecs[:, ::-1], res, ortho)
+    vecs, svals, _ = np.linalg.svd(a, full_matrices=False)
+    vals = svals * svals
+    res, ortho = _validate_eigs(lambda x: a @ (a.conj().T @ x), vals, vecs,
+                                vals[0] if vals.size else 0.0)
+    return EigenSystem(vals, vecs, res, ortho)

@@ -55,7 +55,7 @@ def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
         raise AssertionError("best_approx started an eigensolve")
 
     monkeypatch.setattr(aak, "hermitian_eigs", no_eigensolve)
-    monkeypatch.setattr(hankel, "dense_square", no_eigensolve)
+    monkeypatch.setattr(hankel, "dense_hankel", no_eigensolve)
     monkeypatch.setattr(aak, "build_pair", no_eigensolve)
     with pytest.raises(NumericalError, match="cap of 8192 modes"):
         best_approx(u, 1)
@@ -90,9 +90,9 @@ def test_schmidt_vector_off_the_spectrum_raises_at_any_scale(scale):
 def test_schmidt_vector_of_a_rational_symbol_uses_the_core(monkeypatch,
                                                           rank_one_symbol):
     def refuse(c):
-        raise AssertionError("an N x N square was formed")
+        raise AssertionError("an N x N matrix was formed")
 
-    monkeypatch.setattr(hankel, "dense_square", refuse)
+    monkeypatch.setattr(hankel, "dense_hankel", refuse)
     sv = schmidt_vector(rank_one_symbol, 1.0)
     assert sv.h.size == rank_one_symbol.n_modes
     assert sv.residual < 1e-9
@@ -139,7 +139,7 @@ def test_best_approx_of_coefficients_above_the_cutoff_matches_the_core():
 
 
 def test_zero_coefficients_above_the_cutoff_are_rejected():
-    # the range frame of a zero matrix has no column, so h2 is 0 x 0
+    # the range frame of a zero matrix has no column, so a0 is 0 x N
     with pytest.raises(InputError, match="numerically zero"):
         best_approx(Symbol(np.zeros(1024)), 1)
     with pytest.raises(InputError, match="zero symbol has no eigenvalue"):
@@ -148,11 +148,11 @@ def test_zero_coefficients_above_the_cutoff_are_rejected():
 
 def test_rational_symbol_forms_no_square(monkeypatch):
     def refuse(c):
-        raise AssertionError("an N x N square was formed")
+        raise AssertionError("an N x N matrix was formed")
 
     sizes = []
     eigs = aak.hermitian_eigs
-    monkeypatch.setattr(hankel, "dense_square", refuse)
+    monkeypatch.setattr(hankel, "dense_hankel", refuse)
     monkeypatch.setattr(aak, "hermitian_eigs",
                         lambda a: sizes.append(a.shape[0]) or eigs(a))
     u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])

@@ -76,11 +76,13 @@ def test_analyze_prints_spectrum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("write, args, line", [
-    (lambda p: write_rational(p, [0.75], [1.0, -0.5]), [], "rational, core m = 1"),
+    (lambda p: write_rational(p, [0.75], [1.0, -0.5]), [],
+     "rational, core m = 1, zero floor 1e-09 s_1"),
     (lambda p: write_rational(p, [0.75], [1.0, -0.5]), ["--trunc", "1024"],
-     "rational, core m = 1"),
-    (lambda p: write_symbol(p, [3.0, 2.0]), [], "dense"),
-    (lambda p: write_symbol(p, [3.0, 2.0]), ["--trunc", "1024"], "range, core m = 2"),
+     "rational, core m = 1, zero floor 1e-09 s_1"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), [], "dense, zero floor 1e-06 s_1"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), ["--trunc", "1024"],
+     "range, core m = 2, zero floor 1e-06 s_1"),
 ], ids=["rational", "rational-1024", "dense", "range"])
 def test_analyze_prints_the_path(tmp_path, capsys, write, args, line):
     assert main(["analyze", write(tmp_path / "u.json"), *args]) == 0
