@@ -10,15 +10,14 @@ exactly s_k from the original, which a dense SVD certifies.
 The eigenpairs of the square come from one SVD of build_pair's plain
 factor, as in forward: the m x N strip of the exact section on its core
 for a symbol with a rational form (Kronecker: the Hankel rank is at most
-m), the r x N strip on a range frame for a coefficient-only symbol above
-512 modes, and the N x N truncated matrix itself up to 512 modes.
-Eigenvectors on a frame are lifted to length N, so above 512 modes no
-N x N matrix is formed before the certificate.
+m), and the r x N strip on a range frame for a coefficient-only symbol.
+Eigenvectors on the frame are lifted to length N, so no N x N matrix is
+formed before the certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -51,19 +50,18 @@ class SchmidtVector:
     residual: float
 
 
-def _square_eigs(u: Symbol) -> tuple[EigenSystem, str, int | None]:
-    """Eigensystem of the plain square of u, its path and the frame width or None.
+def _square_eigs(u: Symbol) -> tuple[EigenSystem, str, int]:
+    """Eigensystem of the plain square of u, its path and the frame width.
 
     hermitian_eigs takes one SVD of build_pair's plain factor a0 whatever
-    its path (the m x N strip on the core, the r x N strip on a range
-    frame or the N x N matrix), the identity residual is checked, and
-    lift_eigs puts the eigenvectors on a frame back to length N.
+    its path (the m x N strip on the core or the r x N strip on a range
+    frame), the identity residual is checked, and lift_eigs puts the
+    eigenvectors on the frame back to length N.
     """
     pair = build_pair(u)
     eigs = hermitian_eigs(pair.a0)
     _check_ku2(pair.ku2_residual, eigs.values[0] if eigs.values.size else 0.0)
-    core_size = None if pair.frame is None else pair.frame.shape[1]
-    return lift_eigs(eigs, pair), pair.path, core_size
+    return lift_eigs(eigs, pair), pair.path, pair.frame.shape[1]
 
 
 def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
@@ -108,9 +106,8 @@ class AAKCertificate:
     """Dense-SVD evidence that the approximation meets the AAK distance.
 
     path says how the square was diagonalized: "rational" (the m x m core
-    of the exact section, m = core_size), "range" (the r x r square of a
-    coefficient-only symbol above 512 modes on its range frame,
-    r = core_size) or "dense" (the N x N square, core_size None).
+    of the exact section, m = core_size) or "range" (the r x r square of a
+    coefficient-only symbol on its range frame, r = core_size).
     """
 
     s_target: float
@@ -120,8 +117,8 @@ class AAKCertificate:
     phi_unimodularity: float     # max | |phi| - 1 | on the grid
     tail: float                  # largest projected coefficient beyond N, over s
     truncation: int
-    path: str = "dense"
-    core_size: int | None = None
+    path: str
+    core_size: int
 
     @property
     def distance_gap(self) -> float:
@@ -142,8 +139,8 @@ class AAKResult:
     certificate: AAKCertificate
 
 
-def _certify(u: Symbol, v: np.ndarray, s: float, top: float,
-             uni: float, tail: float, n_work: int) -> AAKCertificate:
+def _certify(u: Symbol, v: np.ndarray, s: float, top: float, uni: float,
+             tail: float, n_work: int, path: str, core_size: int) -> AAKCertificate:
     # Exact m x m sections (entries c_{i+j} out to 2m - 1 coefficients)
     # avoid the rank leakage of zero-padded matrices.  The subtracted
     # part v is a polynomial, so the approximation r = u - v shares u's
@@ -163,7 +160,7 @@ def _certify(u: Symbol, v: np.ndarray, s: float, top: float,
     sv_r = scipy.linalg.svdvals(exact_section(r2, m))
     threshold = RANK_FLOOR_REL * top
     rank = int(np.sum(sv_r > threshold))
-    return AAKCertificate(s, op, rank, threshold, uni, tail, n_work)
+    return AAKCertificate(s, op, rank, threshold, uni, tail, n_work, path, core_size)
 
 
 def _tight_truncation(u: Symbol) -> int:
@@ -202,12 +199,11 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
 
     The singular values come from one SVD of build_pair's plain factor at
     the working size N: on the rank-m core of a rational symbol or the
-    range frame of a coefficient-only one above 512 modes (the other
-    singular values are zero, to the frame's tolerance), or of the N x N
-    matrix up to 512 modes.  The analytic projection of phi = h / conj(h)
-    runs on a grid of size 8N; if the projected coefficients beyond N are
-    not below 1e-8 of the largest, the truncation doubles and the whole
-    construction repeats.
+    range frame of a coefficient-only one (the other singular values are
+    zero, to the frame's tolerance).  The analytic projection of
+    phi = h / conj(h) runs on a grid of size 8N; if the projected
+    coefficients beyond N are not below 1e-8 of the largest, the truncation
+    doubles and the whole construction repeats.
     """
     if k < 1:
         raise InputError("approximation order k must be at least 1")
@@ -226,9 +222,8 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
             if prev <= floor:
                 raise InputError(
                     f"gap hypothesis fails: s_{k - 1} is already numerically zero")
-            cert = replace(_certify(ub, np.zeros(n_work, dtype=complex), 0.0,
-                                    top, 0.0, 0.0, n_work),
-                           path=path, core_size=core_size)
+            cert = _certify(ub, np.zeros(n_work, dtype=complex), 0.0, top, 0.0, 0.0,
+                            n_work, path, core_size)
             zero = Symbol(np.zeros(n_work, dtype=complex))
             return AAKResult(u, k, 0.0, ub, zero, cert)
         if svals[k - 1] - svals[k] <= GAP_FLOOR_REL * top:
@@ -257,8 +252,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
         n_work = min(2 * n_work, TRUNCATION_CAP)
 
     r_coeffs = ub.coeffs - v
-    cert = replace(_certify(ub, v, s, top, uni, tail, n_work),
-                   path=path, core_size=core_size)
+    cert = _certify(ub, v, s, top, uni, tail, n_work, path, core_size)
     return AAKResult(u, k, s, Symbol(r_coeffs), Symbol(v), cert)
 
 

@@ -150,8 +150,8 @@ def _parse_complex_arg(text: str, what: str) -> complex:
 
 # ----------------------------------------------------------------- commands
 
-def _path_text(path: str, core_size: int | None) -> str:
-    return path if core_size is None else f"{path}, core m = {core_size}"
+def _path_text(path: str, core_size: int) -> str:
+    return f"{path}, core m = {core_size}"
 
 
 def cmd_analyze(args) -> int:

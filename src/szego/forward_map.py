@@ -26,8 +26,7 @@ from .algebra import (TRIM_REL, Poly, fit_rational_samples, fold_coeffs, is_schu
 from .blaschke import BlaschkeProduct, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import (Symbol, _check_ku2, build_pair, dense_hankel, hermitian_eigs,
-                     lift_eigs, section_actions, shifted_coeffs, truncation_actions)
+from .hankel import Symbol, _check_ku2, build_pair, hermitian_eigs, lift_eigs
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -165,22 +164,19 @@ class ForwardDetails:
     """Inspection payload accompanying a forward analysis.
 
     path is build_pair's: "rational" (the exact section's m x N strips,
-    m = core_size), "range" (the r x N strips of a coefficient-only symbol
-    above 512 modes on its range frame, r = core_size) or "dense" (both
-    N x N matrices, core_size None).  Values at or below s_floor * s_1 were
-    taken as zero (1e-9 on the core, 1e-6 otherwise).  actions are the
-    antilinear maps h -> A conj(h) of the plain and the shifted matrix
-    whose eigenvectors the clusters hold: the exact section and its shift
-    for a rational symbol (section_actions), the zero-padded truncation
-    for a coefficient-only one (truncation_actions).  forward fits the
-    inner factors against them.
+    m = core_size) or "range" (the r x N strips of a coefficient-only
+    symbol on its range frame, r = core_size).  Values at or below
+    s_floor * s_1 were taken as zero (1e-9 on the core, 1e-6 otherwise).
+    actions are the pair's antilinear maps h -> A conj(h) of the plain and
+    the shifted matrix whose eigenvectors the clusters hold
+    (HankelPair.actions); forward fits the inner factors against them.
     """
 
     clusters_h: list
     clusters_k: list
     essential: list        # MultiplicityCluster per stored singular value
     path: str
-    core_size: int | None
+    core_size: int
     actions: tuple         # (plain, shifted)
     s_floor: float
 
@@ -193,13 +189,13 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
     """Cluster both squares and walk them once for the essential values.
 
     build_pair gives both factors: m x N strips on the core of a rational
-    symbol, N x N matrices for a coefficient-only one up to 512 modes, and
-    r x N strips on a range frame above that.  hermitian_eigs squares the
-    singular values of each, and lift_eigs takes the left singular vectors
-    y on a frame F to F y (checked against the N-mode squares on a range
-    frame).  Clustering uses the pair's zero_floor.  One pass down both
-    descending cluster lists pairs a plain and a shifted cluster within
-    _tol as one value (an unmatched cluster has a match of dimension 0).
+    symbol, r x N strips on a range frame for a coefficient-only one.
+    hermitian_eigs squares the singular values of each, and lift_eigs takes
+    the left singular vectors y on the frame F to F y (checked against the
+    N-mode squares on a range frame).  Clustering uses the pair's
+    zero_floor.  One pass down both descending cluster lists pairs a plain
+    and a shifted cluster within _tol as one value (an unmatched cluster
+    has a match of dimension 0).
     As the paper proves, the two dimensions differ by exactly one; the
     larger side is essential, the smaller must not see the symbol, and the
     essential values alternate plain/shifted/plain/... from the top, or
@@ -212,9 +208,6 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
     _check_ku2(pair.ku2_residual, es_h.values[0])
     es_k = hermitian_eigs(pair.a1)
     es_h, es_k = lift_eigs(es_h, pair), lift_eigs(es_k, pair, shifted=True)
-    core_size = None if pair.frame is None else pair.frame.shape[1]
-    actions = (truncation_actions(u) if u.rational is None else
-               section_actions(pair.frame, pair.a0, pair.a1))
     top, floor = es_h.values[0], pair.zero_floor
     clusters_h = _enrich(cluster_eigenvalues(es_h.values, top, floor), es_h.vectors,
                          u.coeffs, norm_u, "H")
@@ -258,8 +251,8 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    return ForwardDetails(clusters_h, clusters_k, essential, pair.path, core_size,
-                          actions, float(np.sqrt(floor)))
+    return ForwardDetails(clusters_h, clusters_k, essential, pair.path,
+                          pair.frame.shape[1], pair.actions, float(np.sqrt(floor)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -412,9 +405,8 @@ def forward(u: Symbol, details: bool = False):
     """Full spectral analysis of a symbol.
 
     Returns SpectralData, or (SpectralData, ForwardDetails) when details
-    is requested.  A rational symbol, and a coefficient-only one above
-    512 modes, forms no N x N matrix (see sigma_membership).  The inner
-    factors are fitted in one batched pass per cluster dimension
+    is requested.  No N x N matrix is formed (see sigma_membership).  The
+    inner factors are fitted in one batched pass per cluster dimension
     (_inner_factors): extract_blaschke runs once per distinct dimension,
     not once per value.
     """
@@ -441,8 +433,8 @@ class RealDiagnostics:
 
 
 def _signed_eigs(matrix: np.ndarray) -> np.ndarray:
-    """Signed eigenvalues of the real part, largest modulus first."""
-    vals = np.linalg.eigvalsh(matrix.real.astype(float))
+    """Eigenvalues of a Hermitian matrix, largest modulus first."""
+    vals = np.linalg.eigvalsh(matrix)
     return vals[np.argsort(np.abs(vals))[::-1]]
 
 
@@ -455,11 +447,17 @@ def real_diagnostics(u: Symbol) -> RealDiagnostics:
     of positive and negative entries differ by at most one, maximal runs of
     equal interleaved moduli have odd length, and every fitted angle is 0
     or pi, all to a tolerance of 1e-6 (of the top modulus for the moduli).
+    The signed eigenvalues come from build_pair's strips on the frame F:
+    the plain matrix is F a0 with range(F) holding its range, so its
+    nonzero eigenvalues are those of the r x r Hermitian matrix a0 F
+    (= F* G F), and likewise a1 F for the shifted one.
     """
-    if np.max(np.abs(u.coeffs.imag)) > 1e-12 * max(u.l2_norm, 1e-300):
+    if u.l2_norm == 0.0:
+        raise InputError("symbol is numerically zero")
+    if np.max(np.abs(u.coeffs.imag)) > 1e-12 * u.l2_norm:
         raise InputError("real diagnostics require real coefficients")
-    lambdas = _signed_eigs(dense_hankel(u.coeffs))
-    mus = _signed_eigs(dense_hankel(shifted_coeffs(u)))
+    pair = build_pair(u)
+    lambdas, mus = (_signed_eigs(a @ pair.frame) for a in (pair.a0, pair.a1))
     top = float(abs(lambdas[0]))
     floor = REAL_ZERO_FLOOR_REL * max(top, 1e-300)
     lambdas = lambdas[np.abs(lambdas) > floor]

@@ -10,19 +10,18 @@ O(N log N) through circulant embedding.
 build_pair returns factors, never squares, and hermitian_eigs takes one
 SVD of a factor (the square-root method of Laub, Heath, Paige & Ward,
 IEEE TAC 1987): eigenvector errors grow like eps s_1 / gap(s), not
-eps s_1**2 / gap(s**2).  A symbol with a rational form is analyzed on the
-exact N x N section c_{i+j} and its shift c_{i+j+1}.  Both have rank at
-most m = max(deg den, deg num + 1) (Kronecker) and factor through the
-range of the N x m observability strip O, whose column j holds the Taylor
-coefficients of (den z**j mod z**m) / den: the sequence n -> c_{n+j}
-obeys the denominator's recurrence from n = m on, so c_{i+j} is
-sum_k O[i, k] c_{k+j}.  One thin QR O = F T gives both factors on the
-orthonormal frame F as m x N strips, in O(N m**2).  A coefficient-only
-symbol keeps G and G~ up to N = 512.  Above that, a seeded range finder
-(Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.2) grows an
-orthonormal N x r frame of range(G), which holds range(G~) (u = G e0),
-from batched FFT products of both, and both factors go onto it as r x N
-strips.
+eps s_1**2 / gap(s**2).  Every pair carries an orthonormal N x r frame F
+and both factors as r x N strips on it.  A symbol with a rational form is
+analyzed on the exact N x N section c_{i+j} and its shift c_{i+j+1}.
+Both have rank at most m = max(deg den, deg num + 1) (Kronecker) and
+factor through the range of the N x m observability strip O, whose
+column j holds the Taylor coefficients of (den z**j mod z**m) / den: the
+sequence n -> c_{n+j} obeys the denominator's recurrence from n = m on,
+so c_{i+j} is sum_k O[i, k] c_{k+j}.  One thin QR O = F T gives the frame
+(r = m), in O(N m**2).  A coefficient-only symbol of any size gets a
+seeded range finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.2)
+that grows F from batched FFT products of the zero-padded truncation G
+and its shift G~; range(G) holds range(G~) (u = G e0).
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import scipy.linalg
 from .algebra import Poly, RationalFunction, grid_transform, next_pow2, series_divide
 from .errors import ConsistencyError, InputError, NumericalError
 
+# the widest range frame (perfbench/tracing.py imports it under this name)
 DENSE_EIG_MAX = 512
 BUILD_TAIL_REL = 1e-10
 TRUNCATION_CAP = 8192
@@ -255,43 +255,40 @@ def shifted_coeffs(u: Symbol) -> np.ndarray:
     return np.concatenate([u.coeffs[1:], [0.0]])
 
 
-def truncation_actions(u: Symbol) -> tuple:
-    """apply_H and apply_K of u's zero-padded truncation, as maps of h alone."""
-    return partial(apply_H, u), partial(apply_K, u)
-
-
-def section_actions(frame: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> tuple:
-    """The exact section F a0 and its shift F a1 as maps h -> F (a conj(h)).
-
-    Each application costs O(N m) on the N x m frame and m x N strips.
-    """
-    return (lambda h: frame @ (a0 @ np.conj(h)),
-            lambda h: frame @ (a1 @ np.conj(h)))
-
-
 @dataclass(frozen=True, eq=False)
 class HankelPair:
-    """A symbol's Hankel matrix and its shift, as the factors a0 and a1.
+    """A symbol's Hankel matrix and its shift, as r x N strips on a frame.
 
-    With a frame F (N x r, orthonormal columns) the matrix and its shift
-    are F a0 and F a1 through the r x N strips a0 and a1: exactly for the
-    exact section on the rational core (r = m), and up to the finder's
-    tolerance for the zero-padded truncation on a range frame.  Without a
-    frame a0 and a1 are G and G~ themselves (N x N).  No square is stored.
+    The frame F (N x r, orthonormal columns) carries the matrix and its
+    shift as F a0 and F a1: exactly for the exact section on the rational
+    core (r = m), and up to the finder's tolerance for the zero-padded
+    truncation on a range frame (r at most N).  No square is stored.
     """
 
     symbol: Symbol
     a0: np.ndarray
     a1: np.ndarray
     ku2_residual: float
-    frame: np.ndarray | None = None
+    frame: np.ndarray
 
     @property
     def path(self) -> str:
-        """"dense" (no frame), "rational" (the exact section's core) or "range"."""
-        if self.frame is None:
-            return "dense"
+        """"rational" (the exact section's core) or "range" (coefficients only)."""
         return "range" if self.symbol.rational is None else "rational"
+
+    @property
+    def actions(self) -> tuple:
+        """The antilinear maps h -> A conj(h) of the plain and the shifted matrix.
+
+        On the core they are the exact section F a0 and its shift F a1, in
+        O(N m) per column; on a range frame they are apply_H and apply_K of
+        the zero-padded truncation, whose squares lift_eigs checks against.
+        """
+        if self.path == "range":
+            return partial(apply_H, self.symbol), partial(apply_K, self.symbol)
+        frame, a0, a1 = self.frame, self.a0, self.a1
+        return (lambda h: frame @ (a0 @ np.conj(h)),
+                lambda h: frame @ (a1 @ np.conj(h)))
 
     @property
     def zero_floor(self) -> float:
@@ -378,14 +375,13 @@ def build_pair(u: Symbol) -> HankelPair:
 
     A symbol with a rational form gets the m x N strips of its exact
     N x N section and of its shift on the frame F of the section's range
-    (_rational_core).  A coefficient-only symbol gets the N x N matrices
-    G and G~ of its zero-padded truncation up to DENSE_EIG_MAX (512)
-    modes, and above that their r x N strips on one range frame Q of G
-    and G~ (_range_frame), whose ranges nest because
+    (_rational_core).  A coefficient-only symbol of any size gets the
+    r x N strips of the zero-padded truncation G and its shift G~ on one
+    range frame F of both (_range_frame), whose ranges nest because
     G~ G~* = G G* - u u* and u = G e0.  The identity
-    a1 a1* = a0 a0* - outer(b, conj(b)), with b = F* u on a frame and
-    b = u without one, holds exactly on the truncation (on any frame of
-    it) and up to the section's tail c_N..c_{2N-1} on the exact section;
+    a1 a1* = a0 a0* - outer(b, conj(b)), with b = F* u, holds exactly on
+    the truncation (on any frame of it, to the finder's tolerance) and up
+    to the section's tail c_N..c_{2N-1} on the exact section;
     its numerical (Frobenius) residual is stored, and these Gram products
     are formed for nothing else.  It must stay below 1e-10 times
     ||a0 a0*||, which is s_1**2: the caller that diagonalizes a0 a0*
@@ -393,16 +389,13 @@ def build_pair(u: Symbol) -> HankelPair:
     """
     if u.rational is not None:
         frame, a0, a1 = _rational_core(u)
-    elif u.n_modes <= DENSE_EIG_MAX:
-        frame = None
-        a0, a1 = dense_hankel(u.coeffs), dense_hankel(shifted_coeffs(u))
     else:
         ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
         frame = _range_frame(ops)
         # G and G~ are complex symmetric: each strip Q* A = (A conj(Q))^T is
         # one FFT product, and a zero G~ (a constant symbol) gives zeros
         a0, a1 = (op.matvec(np.conj(frame)).T for op in ops)
-    b = u.coeffs if frame is None else frame.conj().T @ u.coeffs
+    b = frame.conj().T @ u.coeffs
     gap = a0 @ a0.conj().T
     gap -= np.outer(b, np.conj(b))
     gap -= a1 @ a1.conj().T
@@ -422,16 +415,13 @@ class EigenSystem:
 def lift_eigs(es: EigenSystem, pair: HankelPair, shifted: bool = False) -> EigenSystem:
     """An eigensystem of a pair's plain (or shifted) square with vectors of length N.
 
-    Without a frame the eigensystem already has them and comes back as it
-    is.  On a frame F the eigenvectors y of the r x r square a a* of a
-    strip become F y.
-    A range frame holds range(G) only to the finder's tolerance, so its
-    lifted pairs are checked by _validate_eigs, with hermitian_eigs'
-    bounds, against the N-mode square of G or G~ from its own
-    coefficients (a large c_0 then puts no rounding into the shifted one).
+    The eigenvectors y of the r x r square a a* of a strip on the frame F
+    become F y.  A range frame holds range(G) only to the finder's
+    tolerance, so its lifted pairs are checked by _validate_eigs, with
+    hermitian_eigs' bounds, against the N-mode square of G or G~ from its
+    own coefficients (a large c_0 then puts no rounding into the shifted
+    one).
     """
-    if pair.frame is None:
-        return es
     vectors = pair.frame @ es.vectors
     if pair.path != "range":
         return replace(es, vectors=vectors)
@@ -472,8 +462,8 @@ def hermitian_eigs(a: np.ndarray) -> EigenSystem:
 
     One LAPACK SVD of a (gesdd) gives them: the eigenvalues are the
     squared singular values, descending, and the eigenvectors the left
-    singular vectors.  This takes the N x N matrices of the dense path
-    and the r x N strips on a frame alike, and never forms a a*.  The
+    singular vectors.  It takes the r x N strips of build_pair, on the
+    core or on a range frame, and never forms a a*.  The
     residual check ||a (a* v) - lambda v|| <= 1e-10 lambda_max and the
     orthonormality check |V* V - I| <= 1e-12 run over column blocks and
     are enforced.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szego import aak, hankel
 from szego.algebra import Poly, RationalFunction
@@ -7,7 +8,7 @@ from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
                        ratio_certificate, schmidt_vector)
 from szego.errors import InputError, NumericalError
 from szego.forward_map import forward
-from szego.hankel import Symbol, resize_symbol
+from szego.hankel import Symbol, dense_hankel, resize_symbol
 from szego.verify import random_low_rank
 
 
@@ -105,20 +106,25 @@ def test_schmidt_vector_of_a_rational_symbol_uses_the_core(monkeypatch,
       for seed in (1, 2, 3, 4)),
 ], ids=["rank2", "rank3", "low-rank-1", "low-rank-2", "low-rank-3", "low-rank-4"])
 def test_best_approx_core_matches_the_dense_path(make):
+    # the core against the same coefficients alone on their range frame,
+    # and s against a dense SVD of the N x N truncation
     u = make()
     core = best_approx(u, 1)
     n_work = core.certificate.truncation
-    dense = best_approx(Symbol(resize_symbol(u, n_work).coeffs), 1)
+    c = resize_symbol(u, n_work).coeffs
+    framed = best_approx(Symbol(c), 1)
+    dense_s = scipy.linalg.svdvals(dense_hankel(c))[1]
     assert (core.certificate.path, core.certificate.core_size) == (
         "rational", u.rational.rank_bound)
-    assert (dense.certificate.path, dense.certificate.core_size) == ("dense", None)
-    assert abs(core.s - dense.s) <= 1e-12 * dense.s
-    r_gap = np.linalg.norm(core.r.coeffs - dense.r.coeffs)
-    assert r_gap <= 1e-12 * np.linalg.norm(dense.r.coeffs)
-    op_gap = abs(core.certificate.op_norm - dense.certificate.op_norm)
-    assert op_gap <= 1e-12 * dense.certificate.op_norm
-    assert core.certificate.rank == dense.certificate.rank
-    assert dense.certificate.truncation == n_work
+    assert framed.certificate.path == "range"
+    assert abs(core.s - dense_s) <= 1e-12 * dense_s
+    assert abs(framed.s - dense_s) <= 1e-12 * dense_s
+    r_gap = np.linalg.norm(core.r.coeffs - framed.r.coeffs)
+    assert r_gap <= 1e-12 * np.linalg.norm(framed.r.coeffs)
+    op_gap = abs(core.certificate.op_norm - framed.certificate.op_norm)
+    assert op_gap <= 1e-12 * framed.certificate.op_norm
+    assert core.certificate.rank == framed.certificate.rank
+    assert framed.certificate.truncation == n_work
 
 
 def test_best_approx_of_coefficients_above_the_cutoff_matches_the_core():

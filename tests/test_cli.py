@@ -80,10 +80,10 @@ def test_analyze_prints_spectrum(tmp_path, capsys):
      "rational, core m = 1, zero floor 1e-09 s_1"),
     (lambda p: write_rational(p, [0.75], [1.0, -0.5]), ["--trunc", "1024"],
      "rational, core m = 1, zero floor 1e-09 s_1"),
-    (lambda p: write_symbol(p, [3.0, 2.0]), [], "dense, zero floor 1e-06 s_1"),
+    (lambda p: write_symbol(p, [3.0, 2.0]), [], "range, core m = 2, zero floor 1e-06 s_1"),
     (lambda p: write_symbol(p, [3.0, 2.0]), ["--trunc", "1024"],
      "range, core m = 2, zero floor 1e-06 s_1"),
-], ids=["rational", "rational-1024", "dense", "range"])
+], ids=["rational", "rational-1024", "coeffs", "range"])
 def test_analyze_prints_the_path(tmp_path, capsys, write, args, line):
     assert main(["analyze", write(tmp_path / "u.json"), *args]) == 0
     assert f"forward path: {line}\n" in capsys.readouterr().out
@@ -108,8 +108,8 @@ def test_approx_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("write, line", [
     (lambda p: write_rational(p, [1.0], [1.0, -0.2, -0.15]), "rational, core m = 2"),
-    (lambda p: write_symbol(p, [3.0, 2.0]), "dense"),
-], ids=["rational", "dense"])
+    (lambda p: write_symbol(p, [3.0, 2.0]), "range, core m = 2"),
+], ids=["rational", "coeffs"])
 def test_approx_prints_the_path(tmp_path, capsys, write, line):
     assert main(["approx", write(tmp_path / "u.json"), "1"]) == 0
     assert f"approx path: {line}\n" in capsys.readouterr().out

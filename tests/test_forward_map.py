@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from szego import forward_map, hankel
+from szego import aak, forward_map, hankel
 from szego.algebra import Poly, RationalFunction
 from szego.bateman import kappa_squares, tau_squares
 from szego.blaschke import BlaschkeProduct, from_zeros
@@ -13,7 +14,7 @@ from szego.errors import (AmbiguousClusterWarning, FitError, InputError,
 from szego.forward_map import (SpectralData, cluster_eigenvalues, extract_blaschke,
                                forward, real_diagnostics)
 from szego.hankel import (DENSE_EIG_MAX, ZERO_FLOOR_REL, EigenSystem, Symbol,
-                          resize_symbol)
+                          dense_hankel, resize_symbol)
 from szego.inverse_map import fourvalue_formula, synthesize
 from szego.verify import random_blaschke, random_spectral_data
 
@@ -61,6 +62,20 @@ def test_zero_on_the_shifted_side_iff_odd_count(hand_symbol, rank_one_symbol):
 def test_forward_rejects_zero_symbol():
     with pytest.raises(InputError):
         forward(Symbol(np.zeros(4, dtype=complex)))
+    # the range frame of a zero matrix has no column, and every entry point
+    # still refuses the zero symbol with InputError
+    for n_modes in (8, 1024):
+        u = Symbol(np.zeros(n_modes))
+        for run in (forward, real_diagnostics, lambda u: aak.best_approx(u, 1),
+                    lambda u: aak.schmidt_vector(u, 1.0)):
+            with pytest.raises(InputError):
+                run(u)
+
+
+def test_single_coefficient_symbol():
+    data, details = forward(Symbol([0.5]), details=True)
+    assert (details.path, details.core_size) == ("range", 1)
+    assert data.n == 1 and abs(data.s[0] - 0.5) < 1e-15
 
 
 def test_spectral_data_validation():
@@ -166,44 +181,61 @@ def test_matrix_free_path_repeats_bitwise():
         assert np.array_equal(a.p.coeffs, b.p.coeffs)
 
 
+def _dense_svdvals(c) -> dict:
+    """Singular values of the zero-padded N x N matrix of c ("H") and of its
+    shift ("K"), from a dense SVD of the coefficients alone."""
+    return {"H": scipy.linalg.svdvals(dense_hankel(c)),
+            "K": scipy.linalg.svdvals(dense_hankel(np.append(c[1:], 0.0)))}
+
+
+def _dense_gaps(svals, details) -> np.ndarray:
+    """Relative distance of each essential value to the nearest dense
+    singular value of its side."""
+    return np.array([np.min(np.abs(svals[e.kind] - e.s)) / e.s for e in details.essential])
+
+
 def test_range_frame_sees_a_rank_above_64():
-    # a degree-99 polynomial has Hankel rank 100; padded to 1024 modes it
-    # takes the range frame and must give the values of its dense analysis
+    # a degree-99 polynomial has Hankel rank 100 and its shift rank 99;
+    # padded to 1024 modes its values must be those of the dense matrices
     rng = np.random.default_rng(0)
     c = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    dense = forward(Symbol(c))
     framed, details = forward(resize_symbol(Symbol(c), 1024), details=True)
+    svals = _dense_svdvals(c)
+    kept = sum(int(np.sum(v > details.s_floor * svals["H"][0])) for v in svals.values())
     assert details.path == "range"
-    assert framed.n == dense.n > 128
-    assert np.max(np.abs(framed.s - dense.s) / dense.s) < 1e-8
+    assert framed.n == kept > 128
+    assert np.max(_dense_gaps(svals, details)) < 1e-8
 
 
 def test_range_frame_resolves_a_shifted_matrix_far_below_the_plain_one():
     # c_0 = 1e6 over a geometric random tail: s_1(G~) is about 1e-6 s_1(G),
     # and the shifted pairs must still meet their bounds at the scale of G~;
-    # the tail is gone long before 512 modes, so the dense analysis agrees
+    # the tail is below 1e-38 past 128 modes, so the dense reference stops there
     rng = np.random.default_rng(3)
     c = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) * 0.5 ** np.arange(1024)
     c[0] = 1e6
-    dense = forward(Symbol(c[:DENSE_EIG_MAX]))
     framed, details = forward(Symbol(c), details=True)
     assert details.path == "range"
-    assert framed.n == dense.n == 2
-    assert np.max(np.abs(framed.s - dense.s) / dense.s) < 1e-10
+    assert framed.n == 2
+    assert np.max(_dense_gaps(_dense_svdvals(c[:128]), details)) < 1e-10
 
 
-def test_rational_core_matches_the_dense_path():
-    # the m x m core of the exact section against both dense N x N squares
+def test_rational_core_matches_the_coefficients():
+    # the m x m core of the exact section against the coefficients alone on
+    # their range frame, and both against dense SVDs of the N x N matrices
     rng = np.random.default_rng(3)
     for _ in range(100):
         _, result = random_spectral_data(rng, min_root=1.1)
         core, details = forward(result.u, details=True)
-        dense = forward(Symbol(result.u.coeffs))
+        framed, framed_details = forward(Symbol(result.u.coeffs), details=True)
         assert details.path == "rational"
         assert details.core_size == result.total_degree
-        assert core.n == dense.n
-        assert np.max(np.abs(core.s - dense.s) / dense.s) < 1e-12
-        for a, b in zip(core.psi, dense.psi):
+        assert framed_details.path == "range"
+        assert core.n == framed.n
+        assert np.max(np.abs(core.s - framed.s) / framed.s) < 1e-12
+        svals = _dense_svdvals(result.u.coeffs)
+        assert np.max(_dense_gaps(svals, framed_details)) < 1e-12
+        for a, b in zip(core.psi, framed.psi):
             assert abs(np.angle(np.exp(1j * (a.angle - b.angle)))) < 1e-10
             assert a.degree == b.degree
             assert np.max(np.abs(a.p.coeffs - b.p.coeffs)) < 1e-10
@@ -240,6 +272,25 @@ def test_rational_core_fits_against_the_exact_section():
     assert np.max(np.abs(np.angle(np.exp(1j * data.angles())))) < 1e-10
 
 
+def test_coefficients_form_no_dense_matrix(monkeypatch):
+    # 256 real coefficients of a rank-3 symbol take the range frame in
+    # forward, real_diagnostics and best_approx, with dense_hankel refused
+    # wherever the analysis modules hold it
+    def refuse(c):
+        raise AssertionError("an N x N matrix was formed")
+
+    for module in (hankel, forward_map):
+        monkeypatch.setattr(module, "dense_hankel", refuse, raising=False)
+    den = Poly([1.0, -0.8]) * Poly([1.0, 0.5]) * Poly([1.0, -0.3])
+    rf = RationalFunction(Poly([1.0, 0.2]), den)
+    u = Symbol(Symbol.from_rational(rf, n_modes=256).coeffs)
+    data, details = forward(u, details=True)
+    assert (details.path, details.core_size) == ("range", 3)
+    assert data.n == 6
+    assert real_diagnostics(u).passed
+    assert aak.best_approx(u, 1).certificate.path == "range"
+
+
 def _eigensystem(values, order):
     """Descending values on the coordinate vectors taken in the given order."""
     return EigenSystem(np.array(values, dtype=float),
@@ -259,11 +310,13 @@ def _eigensystem(values, order):
 ])
 def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
                                                k_vals, k_order, rule):
-    # a dense pair whose factors stand in for their own eigensystems
+    # a pair on the identity frame whose factors stand in for their own
+    # eigensystems, which come back from the lift as they are
     es_h, es_k = _eigensystem(h_vals, [0, 1, 2, 3]), _eigensystem(k_vals, k_order)
     monkeypatch.setattr(forward_map, "build_pair",
-                        lambda u: hankel.HankelPair(u, es_h, es_k, 0.0))
+                        lambda u: hankel.HankelPair(u, es_h, es_k, 0.0, np.eye(4)))
     monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
+    monkeypatch.setattr(forward_map, "lift_eigs", lambda es, pair, shifted=False: es)
     with pytest.raises(SpectralInconsistencyError, match=rule):
         forward(Symbol(np.array(coeffs, dtype=complex)))
 
@@ -299,29 +352,31 @@ def _wide_range_data(rng) -> SpectralData:
 
 
 def test_forward_never_returns_a_shorter_spectrum():
-    # every data set comes back whole on the rational core, the dense path
-    # and the range frame, or the analysis raises a named numerical error
+    # every data set comes back whole on the rational core and on the range
+    # frame of its coefficients alone, at their own size and padded to 1024
+    # modes, or the analysis raises a named numerical error
     rng = np.random.default_rng(0)
-    paths = {"rational": lambda u: u, "dense": lambda u: Symbol(u.coeffs),
-             "range": lambda u: Symbol(resize_symbol(u, 1024).coeffs)}
-    whole = dict.fromkeys(paths, 0)
+    legs = {("rational", "N"): lambda u: u,
+            ("range", "N"): lambda u: Symbol(u.coeffs),
+            ("range", 1024): lambda u: Symbol(resize_symbol(u, 1024).coeffs)}
+    whole = dict.fromkeys(legs, 0)
     for _ in range(60):
         data = _wide_range_data(rng)
         try:
             u = synthesize(data).u
         except NumericalError:
             continue
-        for path, symbol_of in paths.items():
+        for leg, symbol_of in legs.items():
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", AmbiguousClusterWarning)
                     back, details = forward(symbol_of(u), details=True)
             except NumericalError:
                 continue
-            assert details.path == path
+            assert details.path == leg[0]
             assert back.n == data.n
             assert np.all(np.abs(back.s - data.s) <= 1e-6 * data.s)
-            whole[path] += 1
+            whole[leg] += 1
     assert min(whole.values()) == 60
 
 

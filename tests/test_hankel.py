@@ -51,7 +51,8 @@ def test_shifted_square_identity(rng):
     c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     u = Symbol(c)
     pair = build_pair(u)
-    h2, k2 = (a @ a.conj().T for a in (pair.a0, pair.a1))
+    # the lifted factors F a0 and F a1 are G and G~ on the range frame
+    h2, k2 = ((pair.frame @ a) @ (pair.frame @ a).conj().T for a in (pair.a0, pair.a1))
     correction = np.outer(c, np.conj(c))
     assert np.max(np.abs(k2 - (h2 - correction))) < 1e-10
 
@@ -124,16 +125,16 @@ def test_validate_eigs_catches_columns_not_orthogonal_across_blocks(rng):
 
 
 def test_forward_checks_the_shifted_square_identity(monkeypatch, rank_one_symbol):
-    # the shifted factor a1 of another symbol, with its honest residual: the
-    # check after the SVD of a0 must reject it (coefficient-only, so dense)
+    # the shifted factor a1 of 2u on u's range frame, with its honest
+    # residual: the check after the SVD of a0 must reject it
     u = Symbol(rank_one_symbol.coeffs)
 
     def mismatched(u):
-        a0 = build_pair(u).a0
-        a1 = build_pair(Symbol(2.0 * u.coeffs)).a1
+        pair = build_pair(u)
+        a0, a1, b = pair.a0, 2.0 * pair.a1, pair.frame.conj().T @ u.coeffs
         residual = np.linalg.norm(a1 @ a1.conj().T - a0 @ a0.conj().T
-                                  + np.outer(u.coeffs, np.conj(u.coeffs)))
-        return HankelPair(u, a0, a1, float(residual))
+                                  + np.outer(b, np.conj(b)))
+        return HankelPair(u, a0, a1, float(residual), pair.frame)
 
     forward_map.forward(u)
     monkeypatch.setattr(forward_map, "build_pair", mismatched)
@@ -173,6 +174,17 @@ def test_range_lift_checks_the_pairs_against_the_full_square():
     thin = HankelPair(u, pair.a0[:2], pair.a1[:2], 0.0, pair.frame[:, :2])
     with pytest.raises(ConsistencyError, match="eigen residual"):
         lift_eigs(hermitian_eigs(thin.a0), thin)
+
+
+def test_full_rank_coefficients_at_the_old_cutoff_take_the_frame(rng):
+    # undamped coefficients at 512 modes have full Hankel rank: the frame
+    # is no wider than N and both lifted eigensystems meet their bounds
+    u = Symbol(rng.standard_normal(DENSE_EIG_MAX) + 1j * rng.standard_normal(DENSE_EIG_MAX))
+    pair = build_pair(u)
+    assert pair.path == "range" and pair.frame.shape[1] <= DENSE_EIG_MAX
+    for a, shifted in ((pair.a0, False), (pair.a1, True)):
+        lifted = lift_eigs(hermitian_eigs(a), pair, shifted=shifted)
+        assert lifted.vectors.shape == (DENSE_EIG_MAX, pair.frame.shape[1])
 
 
 def test_range_frame_wider_than_the_cap_raises(rng):

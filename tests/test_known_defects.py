@@ -80,12 +80,12 @@ def test_value_below_the_zero_floor_is_not_dropped():
 
 @pytest.mark.parametrize("leg", [
     "rational",
-    pytest.param("dense", marks=pytest.mark.xfail(
+    pytest.param("range", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="the truncation floor of 1e-12 s_1**2 hides values below 1e-6 s_1")),
 ])
 def test_dynamic_range_sweep_comes_back_whole(leg):
-    # the core analyzes the rational form, the dense leg its coefficients alone
+    # the core analyzes the rational form, the range leg its coefficients alone
     lost = []
     for data in sweep_data():
         u = synthesize(data).u
