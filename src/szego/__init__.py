@@ -20,8 +20,7 @@ from .errors import (AmbiguousClusterWarning, ConsistencyError,
 from .forward_map import (ForwardDetails, MultiplicityCluster, RealDiagnostics,
                           SpectralData, forward, real_diagnostics)
 from .hankel import (HankelPair, Symbol, apply_H, apply_K, build_pair,
-                     dense_hankel, hankel_matvec, hermitian_eigs,
-                     resize_symbol, shift_symbol)
+                     dense_hankel, hankel_matvec, resize_symbol)
 from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
                           build_cmatrix, collapsed_fourvalue,
                           consistency_report, fourvalue_formula, roundtrip,
@@ -51,10 +50,10 @@ __all__ = [
     "build_pair", "collapsed_fourvalue", "compare_flows", "conj_reflect",
     "conserved_quantities", "consistency_report", "dense_hankel",
     "direct_evolve", "exact_evolve", "forward", "fourvalue_formula",
-    "from_zeros", "grid_transform", "hankel_matvec", "hermitian_eigs",
+    "from_zeros", "grid_transform", "hankel_matvec",
     "identity_residuals", "j_of_x", "kappa_squares", "next_pow2",
     "perturbation_sanity", "polymatrix_det_minors", "ratio_certificate",
     "real_diagnostics", "resize_symbol", "roundtrip", "run_verify",
-    "schmidt_vector", "shift_symbol", "synthesize", "szego_rhs",
+    "schmidt_vector", "synthesize", "szego_rhs",
     "tau_squares", "traveling_wave",
 ]

@@ -7,12 +7,12 @@ unimodular on the circle; subtracting s times its analytic projection
 from u leaves a symbol whose Hankel matrix has rank k and distance
 exactly s_k from the original, which a dense SVD certifies.
 
-The eigenpairs of the square come from one SVD of build_pair's plain
-factor, as in forward: the m x N strip of the exact section on its core
-for a symbol with a rational form (Kronecker: the Hankel rank is at most
-m), and the r x N strip on a range frame for a coefficient-only symbol.
-Eigenvectors on the frame are lifted to length N, so no N x N matrix is
-formed before the certificate.
+The eigenpairs of the square are build_pair(u).plain, as in forward: one
+SVD of the m x N strip of the exact section on its core for a symbol with
+a rational form (Kronecker: the Hankel rank is at most m), or of the
+r x N strip on a range frame for a coefficient-only symbol, checked and
+lifted to length N by the pair, so no N x N matrix is formed before the
+certificate.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .algebra import (Poly, RationalFunction, conj_reflect, fit_rational_samples
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
-from .hankel import (TRUNCATION_CAP, EigenSystem, Symbol, _check_ku2, apply_H,
-                     build_pair, exact_section, hermitian_eigs, lift_eigs,
-                     resize_symbol)
+from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, apply_H, build_pair,
+                     exact_section, resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
 GAP_FLOOR_REL = 1e-8
@@ -50,20 +49,6 @@ class SchmidtVector:
     residual: float
 
 
-def _square_eigs(u: Symbol) -> tuple[EigenSystem, str, int]:
-    """Eigensystem of the plain square of u, its path and the frame width.
-
-    hermitian_eigs takes one SVD of build_pair's plain factor a0 whatever
-    its path (the m x N strip on the core or the r x N strip on a range
-    frame), the identity residual is checked, and lift_eigs puts the
-    eigenvectors on the frame back to length N.
-    """
-    pair = build_pair(u)
-    eigs = hermitian_eigs(pair.a0)
-    _check_ku2(pair.ku2_residual, eigs.values[0] if eigs.values.size else 0.0)
-    return lift_eigs(eigs, pair), pair.path, pair.frame.shape[1]
-
-
 def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
     """Symmetric Schmidt vector of the plain square of u at value s.
 
@@ -71,12 +56,13 @@ def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
     h = v + (1/s) H_u(v), falling back to i v + (1/s) H_u(i v) when the
     first combination cancels (the two cannot both vanish in exact
     arithmetic since their norms squared add to 4).  s**2 must match an
-    eigenvalue to within 1e-6 of the top one, else InputError.
+    eigenvalue to within 1e-6 of the top one, else InputError.  eigs is
+    the square's eigensystem, build_pair(u).plain by default.
     """
     if s <= 0.0:
         raise InputError("Schmidt construction needs s > 0")
     if eigs is None:
-        eigs = _square_eigs(u)[0]
+        eigs = build_pair(u).plain
     vals = eigs.values
     if vals.size == 0:
         # the range frame of a zero matrix has no column
@@ -139,18 +125,20 @@ class AAKResult:
     certificate: AAKCertificate
 
 
-def _certify(u: Symbol, v: np.ndarray, s: float, top: float, uni: float,
-             tail: float, n_work: int, path: str, core_size: int) -> AAKCertificate:
-    # Exact m x m sections (entries c_{i+j} out to 2m - 1 coefficients)
-    # avoid the rank leakage of zero-padded matrices.  The subtracted
-    # part v is a polynomial, so the approximation r = u - v shares u's
-    # continuation beyond the truncation.  The rank cut is scaled by u's
-    # top singular value from the eigensolve (top) and still sits above
-    # the TAIL_REL mass dropped from the projection and below genuine
-    # singular values of supported data.  With v = 0 (u is its own
+def _certify(pair: HankelPair, v: np.ndarray, s: float, top: float, uni: float,
+             tail: float) -> AAKCertificate:
+    # pair is the working-size symbol's; the certificate records its path
+    # and core size.  Exact m x m sections (entries c_{i+j} out to 2m - 1
+    # coefficients) avoid the rank leakage of zero-padded matrices.  The
+    # subtracted part v is a polynomial, so the approximation r = u - v
+    # shares u's continuation beyond the truncation.  The rank cut is
+    # scaled by u's top singular value from the eigensolve (top) and still
+    # sits above the TAIL_REL mass dropped from the projection and below
+    # genuine singular values of supported data.  With v = 0 (u is its own
     # approximation) r is u and the distance is 0.0, as the SVD of a zero
     # section would give, so u's SVD is the only one taken.
-    m = n_work
+    u = pair.symbol
+    m = u.n_modes
     r2 = resize_symbol(u, 2 * m - 1).coeffs
     op = 0.0
     if v.any():
@@ -160,7 +148,8 @@ def _certify(u: Symbol, v: np.ndarray, s: float, top: float, uni: float,
     sv_r = scipy.linalg.svdvals(exact_section(r2, m))
     threshold = RANK_FLOOR_REL * top
     rank = int(np.sum(sv_r > threshold))
-    return AAKCertificate(s, op, rank, threshold, uni, tail, n_work, path, core_size)
+    return AAKCertificate(s, op, rank, threshold, uni, tail, m, pair.path,
+                          pair.core_size)
 
 
 def _tight_truncation(u: Symbol) -> int:
@@ -197,20 +186,20 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     is numerically zero (k at least the rank) the symbol is its own best
     approximation and the distance is zero.
 
-    The singular values come from one SVD of build_pair's plain factor at
-    the working size N: on the rank-m core of a rational symbol or the
-    range frame of a coefficient-only one (the other singular values are
-    zero, to the frame's tolerance).  The analytic projection of
-    phi = h / conj(h) runs on a grid of size 8N; if the projected
-    coefficients beyond N are not below 1e-8 of the largest, the truncation
-    doubles and the whole construction repeats.
+    The singular values come from the pair's plain eigensystem at the
+    working size N, one SVD of build_pair's plain factor: on the rank-m
+    core of a rational symbol or the range frame of a coefficient-only one
+    (the other singular values are zero, to the frame's tolerance).  The
+    analytic projection of phi = h / conj(h) runs on a grid of size 8N; if
+    the projected coefficients beyond N are not below 1e-8 of the largest,
+    the truncation doubles and the whole construction repeats.
     """
     if k < 1:
         raise InputError("approximation order k must be at least 1")
     n_work = _tight_truncation(u)
     while True:
-        ub = resize_symbol(u, n_work)
-        eigs, path, core_size = _square_eigs(ub)
+        pair = build_pair(resize_symbol(u, n_work))
+        ub, eigs = pair.symbol, pair.plain
         svals = np.sqrt(eigs.values)
         svals = np.pad(svals, (0, n_work - svals.size))
         top = float(svals[0])
@@ -222,8 +211,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
             if prev <= floor:
                 raise InputError(
                     f"gap hypothesis fails: s_{k - 1} is already numerically zero")
-            cert = _certify(ub, np.zeros(n_work, dtype=complex), 0.0, top, 0.0, 0.0,
-                            n_work, path, core_size)
+            cert = _certify(pair, np.zeros(n_work, dtype=complex), 0.0, top, 0.0, 0.0)
             zero = Symbol(np.zeros(n_work, dtype=complex))
             return AAKResult(u, k, 0.0, ub, zero, cert)
         if svals[k - 1] - svals[k] <= GAP_FLOOR_REL * top:
@@ -252,7 +240,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
         n_work = min(2 * n_work, TRUNCATION_CAP)
 
     r_coeffs = ub.coeffs - v
-    cert = _certify(ub, v, s, top, uni, tail, n_work, path, core_size)
+    cert = _certify(pair, v, s, top, uni, tail)
     return AAKResult(u, k, s, Symbol(r_coeffs), Symbol(v), cert)
 
 
@@ -271,8 +259,8 @@ def ratio_certificate(details: ForwardDetails, cluster: MultiplicityCluster,
     """Certify that s h / H_u(h) has the form of an inner ratio on a cluster.
 
     details is forward's inspection payload and cluster one of its plain
-    clusters; H_u is details.actions[0], the action whose eigenvectors the
-    cluster holds (the exact section on the rational core).  For three
+    clusters; H_u is details.pair.actions[0], the action whose eigenvectors
+    the cluster holds (the exact section on the rational core).  For three
     random unit combinations h of the cluster basis the pointwise ratios
     s h(z) / (H_u h)(z) are fitted in one ``fit_circle_ratio`` call with
     numerator and denominator degree m - 1 (m the cluster dimension),
@@ -294,7 +282,8 @@ def ratio_certificate(details: ForwardDetails, cluster: MultiplicityCluster,
         weights.append(w / np.linalg.norm(w))
     h = cluster.basis @ np.array(weights).T
     nums, dens, res, ratio, good = fit_circle_ratio(
-        cluster.s * h.T, details.actions[0](h).T, m_dim - 1, lambda i: f"sample {i}")
+        cluster.s * h.T, details.pair.actions[0](h).T, m_dim - 1,
+        lambda i: f"sample {i}")
     samples = []
     for i in range(RATIO_SAMPLES):
         uni = float(np.max(np.abs(np.abs(ratio[i, good[i]]) - 1.0)))

@@ -161,8 +161,9 @@ def cmd_analyze(args) -> int:
     tau2 = tau_squares(interlaced)
     kap2 = kappa_squares(interlaced)
     print(f"symbol: {u.n_modes} modes, |u| = {u.l2_norm:.12g}")
-    print(f"forward path: {_path_text(details.path, details.core_size)}, "
-          f"zero floor {details.s_floor:.0e} s_1")
+    pair = details.pair
+    print(f"forward path: {_path_text(pair.path, pair.core_size)}, "
+          f"zero floor {np.sqrt(pair.zero_floor):.0e} s_1")
     print(f"spectral values: n = {data.n}")
     h_idx = k_idx = 0
     bateman_gap = 0.0
@@ -244,6 +245,8 @@ def cmd_evolve(args) -> int:
               f"in steps of {traj.dt:.3g}")
         print(f"max conserved drift: {traj.max_drift:.3e}")
     elif args.mode == "exact":
+        if args.samples < 0:
+            raise InputError(f"--samples must be nonnegative, got {args.samples}")
         data = forward(u)
         times = np.linspace(0.0, args.t_final, args.samples + 1)
         rows = []

@@ -1,11 +1,12 @@
 """The forward spectral map: symbol to interlaced values and inner factors.
 
-Pipeline: square the singular values of both factors of the truncated
-pair (one SVD each), group them into multiplicity clusters, pair the plain
-and shifted clusters of each value and keep the side one dimension larger,
-onto which the symbol projects, and recover the inner factor of each such
-essential cluster from the pointwise ratio of the projection against the
-antilinear image of the projection.
+Pipeline: read the plain and shifted eigensystems off the symbol's
+HankelPair (one SVD of each factor, checked and lifted by the pair), group
+them into multiplicity clusters, pair the plain and shifted clusters of
+each value and keep the side one dimension larger, onto which the symbol
+projects, and recover the inner factor of each such essential cluster from
+the pointwise ratio of the projection against the antilinear image of the
+projection.
 
 The essential values strictly interlace, plain side first.  An odd count
 means the zero singular value sits on the shifted side; it is detected but
@@ -26,7 +27,7 @@ from .algebra import (TRIM_REL, Poly, fit_rational_samples, fold_coeffs, is_schu
 from .blaschke import BlaschkeProduct, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
                      InputError, NotInnerError, SpectralInconsistencyError)
-from .hankel import Symbol, _check_ku2, build_pair, hermitian_eigs, lift_eigs
+from .hankel import HankelPair, Symbol, build_pair
 
 CLUSTER_REL_TOL = 1e-6
 MEMBERSHIP_REL = 1e-8
@@ -163,22 +164,19 @@ def _enrich(raw, vectors, u_coeffs, norm_u, kind):
 class ForwardDetails:
     """Inspection payload accompanying a forward analysis.
 
-    path is build_pair's: "rational" (the exact section's m x N strips,
-    m = core_size) or "range" (the r x N strips of a coefficient-only
-    symbol on its range frame, r = core_size).  Values at or below
-    s_floor * s_1 were taken as zero (1e-9 on the core, 1e-6 otherwise).
-    actions are the pair's antilinear maps h -> A conj(h) of the plain and
-    the shifted matrix whose eigenvectors the clusters hold
-    (HankelPair.actions); forward fits the inner factors against them.
+    pair is the HankelPair the clusters come from, and says how they were
+    computed: pair.path is "rational" (the exact section's m x N strips)
+    or "range" (a coefficient-only symbol's r x N strips on its range
+    frame), pair.core_size is m or r, and eigenvalues at or below
+    pair.zero_floor * s_1**2 were taken as zero.  forward fits the inner
+    factors against pair.actions, the antilinear maps whose eigenvectors
+    the clusters hold.
     """
 
     clusters_h: list
     clusters_k: list
     essential: list        # MultiplicityCluster per stored singular value
-    path: str
-    core_size: int
-    actions: tuple         # (plain, shifted)
-    s_floor: float
+    pair: HankelPair
 
     @property
     def zero_in_shifted(self) -> bool:
@@ -190,12 +188,11 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
 
     build_pair gives both factors: m x N strips on the core of a rational
     symbol, r x N strips on a range frame for a coefficient-only one.
-    hermitian_eigs squares the singular values of each, and lift_eigs takes
-    the left singular vectors y on the frame F to F y (checked against the
-    N-mode squares on a range frame).  Clustering uses the pair's
-    zero_floor.  One pass down both descending cluster lists pairs a plain
-    and a shifted cluster within _tol as one value (an unmatched cluster
-    has a match of dimension 0).
+    The pair's plain and shifted eigensystems square the singular values
+    of each, after the identity check, with eigenvectors of length N.
+    Clustering uses the pair's zero_floor.  One pass down both descending
+    cluster lists pairs a plain and a shifted cluster within _tol as one
+    value (an unmatched cluster has a match of dimension 0).
     As the paper proves, the two dimensions differ by exactly one; the
     larger side is essential, the smaller must not see the symbol, and the
     essential values alternate plain/shifted/plain/... from the top, or
@@ -204,10 +201,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
     """
     norm_u = u.l2_norm
     pair = build_pair(u)
-    es_h = hermitian_eigs(pair.a0)
-    _check_ku2(pair.ku2_residual, es_h.values[0])
-    es_k = hermitian_eigs(pair.a1)
-    es_h, es_k = lift_eigs(es_h, pair), lift_eigs(es_k, pair, shifted=True)
+    es_h, es_k = pair.plain, pair.shifted
     top, floor = es_h.values[0], pair.zero_floor
     clusters_h = _enrich(cluster_eigenvalues(es_h.values, top, floor), es_h.vectors,
                          u.coeffs, norm_u, "H")
@@ -251,8 +245,7 @@ def sigma_membership(u: Symbol) -> ForwardDetails:
         raise SpectralInconsistencyError(
             "essential plain projections do not reassemble the symbol "
             f"(residual {np.linalg.norm(res_h):.3e})")
-    return ForwardDetails(clusters_h, clusters_k, essential, pair.path,
-                          pair.frame.shape[1], pair.actions, float(np.sqrt(floor)))
+    return ForwardDetails(clusters_h, clusters_k, essential, pair)
 
 
 @functools.lru_cache(maxsize=32)
@@ -375,7 +368,7 @@ def _inner_factors(info: ForwardDetails) -> tuple:
     per side on the rational core) and through one extract_blaschke call.
     """
     essential = info.essential
-    plain, shifted = info.actions
+    plain, shifted = info.pair.actions
     groups = {}
     for r, c in enumerate(essential):
         groups.setdefault(c.dim, []).append(r)
@@ -447,16 +440,18 @@ def real_diagnostics(u: Symbol) -> RealDiagnostics:
     of positive and negative entries differ by at most one, maximal runs of
     equal interleaved moduli have odd length, and every fitted angle is 0
     or pi, all to a tolerance of 1e-6 (of the top modulus for the moduli).
-    The signed eigenvalues come from build_pair's strips on the frame F:
-    the plain matrix is F a0 with range(F) holding its range, so its
-    nonzero eigenvalues are those of the r x r Hermitian matrix a0 F
-    (= F* G F), and likewise a1 F for the shifted one.
+    One forward analysis gives the angles and its pair the signed
+    eigenvalues, from the strips on the frame F: the plain matrix is F a0
+    with range(F) holding its range, so its nonzero eigenvalues are those
+    of the r x r Hermitian matrix a0 F (= F* G F), and likewise a1 F for
+    the shifted one.
     """
     if u.l2_norm == 0.0:
         raise InputError("symbol is numerically zero")
     if np.max(np.abs(u.coeffs.imag)) > 1e-12 * u.l2_norm:
         raise InputError("real diagnostics require real coefficients")
-    pair = build_pair(u)
+    data, details = forward(u, details=True)
+    pair = details.pair
     lambdas, mus = (_signed_eigs(a @ pair.frame) for a in (pair.a0, pair.a1))
     top = float(abs(lambdas[0]))
     floor = REAL_ZERO_FLOOR_REL * max(top, 1e-300)
@@ -503,7 +498,6 @@ def real_diagnostics(u: Symbol) -> RealDiagnostics:
     if not strings_ok:
         failures.append("odd string lengths")
 
-    data = forward(u)
     angles = data.angles()
     dist = np.minimum(np.minimum(np.abs(angles), np.abs(angles - np.pi)),
                       np.abs(angles - 2 * np.pi))

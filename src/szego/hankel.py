@@ -22,6 +22,11 @@ so c_{i+j} is sum_k O[i, k] c_{k+j}.  One thin QR O = F T gives the frame
 seeded range finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.2)
 that grows F from batched FFT products of the zero-padded truncation G
 and its shift G~; range(G) holds range(G~) (u = G e0).
+
+The pair owns its eigen stage: HankelPair.plain and .shifted take one
+hermitian_eigs SVD each, check the shifted-square identity before either
+is returned, and lift the eigenvectors to length N (checked against the
+N-mode squares on a range frame).  No other module calls hermitian_eigs.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import Poly, RationalFunction, grid_transform, next_pow2, series_divide
+from .algebra import RationalFunction, grid_transform, next_pow2, series_divide
 from .errors import ConsistencyError, InputError, NumericalError
 
 # the widest range frame (perfbench/tracing.py imports it under this name)
@@ -114,8 +119,10 @@ class Symbol:
         implies the documented 1e-8 resolution bound.  A symbol still
         unresolved at 8192 modes raises NumericalError.  Polynomial
         symbols are exact at any size, so no doubling occurs; an explicit
-        n_modes is taken as given.
+        n_modes is taken as given, and one below 1 raises InputError.
         """
+        if n_modes is not None and n_modes < 1:
+            raise InputError("mode count must be positive")
         n = n_modes if n_modes is not None else max(4 * max(rf.rank_bound, 1), 32)
         n = max(n, rf.num.degree + 1, 2)
         # lacunary series (denominator in z**m) have exact zeros between
@@ -155,19 +162,7 @@ def resize_symbol(u: Symbol, n: int) -> Symbol:
     out = np.zeros(n, dtype=complex)
     take = min(n, u.n_modes)
     out[:take] = u.coeffs[:take]
-    return Symbol(out, rational=u.rational if n >= u.n_modes else None)
-
-
-def shift_symbol(u: Symbol) -> Symbol:
-    """Drop the constant term and shift: the symbol of (u - u(0)) / z."""
-    if u.n_modes < 2:
-        raise InputError("shift needs at least two stored coefficients")
-    rat = None
-    if u.rational is not None:
-        p = u.rational.num - u.coeffs[0] * u.rational.den
-        shifted = p.coeffs[1:] if p else p.coeffs
-        rat = RationalFunction(Poly(shifted), u.rational.den, check_coprime=False)
-    return Symbol(u.coeffs[1:], rational=rat)
+    return Symbol(out)
 
 
 def _embedded_fft(c: np.ndarray) -> np.ndarray:
@@ -256,6 +251,16 @@ def shifted_coeffs(u: Symbol) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class EigenSystem:
+    """Descending nonnegative eigenvalues with orthonormal eigenvectors."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    max_residual: float
+    orthonormality: float
+
+
+@dataclass(frozen=True, eq=False)
 class HankelPair:
     """A symbol's Hankel matrix and its shift, as r x N strips on a frame.
 
@@ -263,6 +268,8 @@ class HankelPair:
     shift as F a0 and F a1: exactly for the exact section on the rational
     core (r = m), and up to the finder's tolerance for the zero-padded
     truncation on a range frame (r at most N).  No square is stored.
+    plain and shifted are the checked eigensystems of the two squares,
+    each computed once, on first use.
     """
 
     symbol: Symbol
@@ -277,12 +284,18 @@ class HankelPair:
         return "range" if self.symbol.rational is None else "rational"
 
     @property
+    def core_size(self) -> int:
+        """The frame's width: m on the rational core, r on a range frame."""
+        return self.frame.shape[1]
+
+    @property
     def actions(self) -> tuple:
         """The antilinear maps h -> A conj(h) of the plain and the shifted matrix.
 
         On the core they are the exact section F a0 and its shift F a1, in
         O(N m) per column; on a range frame they are apply_H and apply_K of
-        the zero-padded truncation, whose squares lift_eigs checks against.
+        the zero-padded truncation, whose squares plain and shifted are
+        checked against.
         """
         if self.path == "range":
             return partial(apply_H, self.symbol), partial(apply_K, self.symbol)
@@ -296,13 +309,44 @@ class HankelPair:
         1e-18 (s down to 1e-9 s_1) on the exact core, 1e-12 on a truncation."""
         return CORE_ZERO_FLOOR_REL if self.path == "rational" else ZERO_FLOOR_REL
 
+    @cached_property
+    def plain(self) -> EigenSystem:
+        """Every eigenpair of the plain square, with vectors of length N.
 
-def _check_ku2(residual: float, top: float) -> float:
-    if top > 0.0 and residual > KU2_RESIDUAL_REL * top:
-        raise ConsistencyError(
-            f"shifted-square identity residual {residual:.3e} exceeds "
-            f"{KU2_RESIDUAL_REL:.1e} * {top:.3e}")
-    return residual
+        One SVD of a0 (hermitian_eigs); the identity residual must then be
+        within 1e-10 of the top eigenvalue, s_1**2, or ConsistencyError.
+        """
+        eigs = hermitian_eigs(self.a0)
+        top = eigs.values[0] if eigs.values.size else 0.0
+        if top > 0.0 and self.ku2_residual > KU2_RESIDUAL_REL * top:
+            raise ConsistencyError(
+                f"shifted-square identity residual {self.ku2_residual:.3e} exceeds "
+                f"{KU2_RESIDUAL_REL:.1e} * {top:.3e}")
+        return self._lift(eigs, self.symbol.coeffs)
+
+    @cached_property
+    def shifted(self) -> EigenSystem:
+        """Every eigenpair of the shifted square, after plain's identity check."""
+        self.plain  # the identity check runs first
+        return self._lift(hermitian_eigs(self.a1), shifted_coeffs(self.symbol))
+
+    def _lift(self, es: EigenSystem, coeffs: np.ndarray) -> EigenSystem:
+        """es of a strip's r x r square a a*, with each eigenvector y lifted to F y.
+
+        A range frame holds range(G) only to the finder's tolerance, so its
+        lifted pairs are checked by _validate_eigs, with hermitian_eigs'
+        bounds, against the N-mode square of G or G~ from its own
+        coefficients (a large c_0 then puts no rounding into the shifted one).
+        """
+        vectors = self.frame @ es.vectors
+        if self.path != "range":
+            return replace(es, vectors=vectors)
+        op = FastHankel(coeffs)
+        top = es.values[0] if es.values.size else 0.0
+        # A A* x = A conj(A conj(x)) for a complex symmetric A
+        res, ortho = _validate_eigs(lambda x: op.matvec(np.conj(op.matvec(np.conj(x)))),
+                                    es.values, vectors, top)
+        return EigenSystem(es.values, vectors, res, ortho)
 
 
 def _rational_core(u: Symbol) -> tuple:
@@ -384,8 +428,8 @@ def build_pair(u: Symbol) -> HankelPair:
     to the section's tail c_N..c_{2N-1} on the exact section;
     its numerical (Frobenius) residual is stored, and these Gram products
     are formed for nothing else.  It must stay below 1e-10 times
-    ||a0 a0*||, which is s_1**2: the caller that diagonalizes a0 a0*
-    checks it (_check_ku2).
+    ||a0 a0*||, which is s_1**2: HankelPair.plain checks it before either
+    eigensystem is returned.
     """
     if u.rational is not None:
         frame, a0, a1 = _rational_core(u)
@@ -400,38 +444,6 @@ def build_pair(u: Symbol) -> HankelPair:
     gap -= np.outer(b, np.conj(b))
     gap -= a1 @ a1.conj().T
     return HankelPair(u, a0, a1, float(np.linalg.norm(gap)), frame)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Descending nonnegative eigenvalues with orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    max_residual: float
-    orthonormality: float
-
-
-def lift_eigs(es: EigenSystem, pair: HankelPair, shifted: bool = False) -> EigenSystem:
-    """An eigensystem of a pair's plain (or shifted) square with vectors of length N.
-
-    The eigenvectors y of the r x r square a a* of a strip on the frame F
-    become F y.  A range frame holds range(G) only to the finder's
-    tolerance, so its lifted pairs are checked by _validate_eigs, with
-    hermitian_eigs' bounds, against the N-mode square of G or G~ from its
-    own coefficients (a large c_0 then puts no rounding into the shifted
-    one).
-    """
-    vectors = pair.frame @ es.vectors
-    if pair.path != "range":
-        return replace(es, vectors=vectors)
-    u = pair.symbol
-    op = FastHankel(shifted_coeffs(u) if shifted else u.coeffs)
-    top = es.values[0] if es.values.size else 0.0
-    # A A* x = A conj(A conj(x)) for a complex symmetric A
-    res, ortho = _validate_eigs(lambda x: op.matvec(np.conj(op.matvec(np.conj(x)))),
-                                es.values, vectors, top)
-    return EigenSystem(es.values, vectors, res, ortho)
 
 
 def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:

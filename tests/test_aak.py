@@ -55,7 +55,7 @@ def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("best_approx started an eigensolve")
 
-    monkeypatch.setattr(aak, "hermitian_eigs", no_eigensolve)
+    monkeypatch.setattr(hankel, "hermitian_eigs", no_eigensolve)
     monkeypatch.setattr(hankel, "dense_hankel", no_eigensolve)
     monkeypatch.setattr(aak, "build_pair", no_eigensolve)
     with pytest.raises(NumericalError, match="cap of 8192 modes"):
@@ -157,9 +157,9 @@ def test_rational_symbol_forms_no_square(monkeypatch):
         raise AssertionError("an N x N matrix was formed")
 
     sizes = []
-    eigs = aak.hermitian_eigs
+    eigs = hankel.hermitian_eigs
     monkeypatch.setattr(hankel, "dense_hankel", refuse)
-    monkeypatch.setattr(aak, "hermitian_eigs",
+    monkeypatch.setattr(hankel, "hermitian_eigs",
                         lambda a: sizes.append(a.shape[0]) or eigs(a))
     u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])
     assert u.n_modes == 1024
@@ -212,7 +212,7 @@ def test_ratio_certificate_fits_against_the_exact_section():
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.9])),
                              n_modes=128)
     _, details = forward(u, details=True)
-    assert details.path == "rational"
+    assert details.pair.path == "rational"
     cluster = next(c for c in details.clusters_h if c.member)
     samples = ratio_certificate(details, cluster)
     assert len(samples) == 3

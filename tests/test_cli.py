@@ -192,6 +192,25 @@ def test_non_finite_spectral_file_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("write", [
+    lambda p: write_rational(p, [0.75], [1.0, -0.5]),
+    lambda p: write_symbol(p, [3.0, 2.0]),
+], ids=["rational", "coeffs"])
+def test_nonpositive_trunc_is_an_input_error(tmp_path, capsys, write):
+    u_path = write(tmp_path / "u.json")
+    for trunc in ("-5", "0"):
+        assert main(["analyze", u_path, "--trunc", trunc]) == 2
+        assert "mode count must be positive" in capsys.readouterr().err
+
+
+def test_negative_samples_is_an_input_error(tmp_path, capsys):
+    u_path = write_symbol(tmp_path / "z.json", [0.0, 1.0])
+    rc = main(["evolve", u_path, "--t-final", "0.1", "--mode", "exact",
+               "--samples", "-3", "--trunc", "16"])
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_constant_symbol_above_the_dense_cutoff(tmp_path, capsys):
     u_path = write_symbol(tmp_path / "const.json", [0.5])
     assert main(["analyze", u_path, "--trunc", "1024"]) == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -74,7 +73,7 @@ def test_forward_rejects_zero_symbol():
 
 def test_single_coefficient_symbol():
     data, details = forward(Symbol([0.5]), details=True)
-    assert (details.path, details.core_size) == ("range", 1)
+    assert (details.pair.path, details.pair.core_size) == ("range", 1)
     assert data.n == 1 and abs(data.s[0] - 0.5) < 1e-15
 
 
@@ -124,6 +123,22 @@ def test_real_diagnostics_signed_fourvalue():
     assert np.allclose(rep.mus, [-2.0, -0.5], atol=1e-8)
 
 
+def test_real_diagnostics_builds_one_pair(monkeypatch):
+    # forward hands its pair back, so the signed eigenvalues and the angles
+    # share one build_pair, and the pair's eigensystems are solved once
+    built, solved = [], []
+    build, eigs = forward_map.build_pair, hankel.hermitian_eigs
+    monkeypatch.setattr(forward_map, "build_pair", lambda u: built.append(u) or build(u))
+    monkeypatch.setattr(hankel, "hermitian_eigs", lambda a: solved.append(a) or eigs(a))
+    u = fourvalue_formula(4.0, -2.0, 1.0, -0.5)
+    assert real_diagnostics(u).passed
+    assert len(built) == 1
+    _, details = forward(u, details=True)
+    assert (len(built), len(solved)) == (2, 4)
+    assert details.pair.plain.values.size and details.pair.shifted.values.size
+    assert len(solved) == 4
+
+
 def test_forward_matches_fourvalue_spectrum():
     u = fourvalue_formula(4.0, 2.0, 1.0, 0.3)
     data = forward(u)
@@ -155,7 +170,7 @@ def test_matrix_free_path_rank_one_closed_form():
         RationalFunction(Poly([1.0]), Poly([1.0, -r]))).coeffs)
     assert u.n_modes == 1024 > DENSE_EIG_MAX
     data, details = forward(u, details=True)
-    assert (details.path, details.core_size) == ("range", 1)
+    assert (details.pair.path, details.pair.core_size) == ("range", 1)
     expect = np.array([1.0, r]) / (1.0 - r * r)
     assert data.n == 2
     assert np.max(np.abs(data.s - expect)) < 1e-9 * expect[0]
@@ -166,7 +181,7 @@ def test_constant_symbol_above_the_dense_cutoff():
     u = resize_symbol(Symbol(np.array([0.5])), 1024)
     assert u.n_modes > DENSE_EIG_MAX
     data, details = forward(u, details=True)
-    assert (details.path, details.core_size) == ("range", 1)
+    assert (details.pair.path, details.pair.core_size) == ("range", 1)
     assert data.n == 1
     assert abs(data.s[0] - 0.5) < 1e-12
 
@@ -201,8 +216,9 @@ def test_range_frame_sees_a_rank_above_64():
     c = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     framed, details = forward(resize_symbol(Symbol(c), 1024), details=True)
     svals = _dense_svdvals(c)
-    kept = sum(int(np.sum(v > details.s_floor * svals["H"][0])) for v in svals.values())
-    assert details.path == "range"
+    s_floor = np.sqrt(details.pair.zero_floor)
+    kept = sum(int(np.sum(v > s_floor * svals["H"][0])) for v in svals.values())
+    assert details.pair.path == "range"
     assert framed.n == kept > 128
     assert np.max(_dense_gaps(svals, details)) < 1e-8
 
@@ -215,7 +231,7 @@ def test_range_frame_resolves_a_shifted_matrix_far_below_the_plain_one():
     c = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) * 0.5 ** np.arange(1024)
     c[0] = 1e6
     framed, details = forward(Symbol(c), details=True)
-    assert details.path == "range"
+    assert details.pair.path == "range"
     assert framed.n == 2
     assert np.max(_dense_gaps(_dense_svdvals(c[:128]), details)) < 1e-10
 
@@ -228,9 +244,9 @@ def test_rational_core_matches_the_coefficients():
         _, result = random_spectral_data(rng, min_root=1.1)
         core, details = forward(result.u, details=True)
         framed, framed_details = forward(Symbol(result.u.coeffs), details=True)
-        assert details.path == "rational"
-        assert details.core_size == result.total_degree
-        assert framed_details.path == "range"
+        assert details.pair.path == "rational"
+        assert details.pair.core_size == result.total_degree
+        assert framed_details.pair.path == "range"
         assert core.n == framed.n
         assert np.max(np.abs(core.s - framed.s) / framed.s) < 1e-12
         svals = _dense_svdvals(result.u.coeffs)
@@ -251,7 +267,7 @@ def test_rational_core_near_the_circle_forms_no_large_square(monkeypatch, r, n_m
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
     assert u.n_modes == n_modes
     data, details = forward(u, details=True)
-    assert (details.path, details.core_size) == ("rational", 1)
+    assert (details.pair.path, details.pair.core_size) == ("rational", 1)
     expect = np.array([1.0, r]) / (1.0 - r * r)
     assert data.n == 2
     assert np.max(np.abs(data.s - expect) / expect) < 1e-12
@@ -264,7 +280,7 @@ def test_rational_core_fits_against_the_exact_section():
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -0.9])),
                              n_modes=128)
     data, details = forward(u, details=True)
-    assert details.path == "rational"
+    assert details.pair.path == "rational"
     expect = np.array([1.0, 0.9]) / (1.0 - 0.81)
     assert data.n == 2
     assert np.max(np.abs(data.s - expect) / expect) < 1e-10
@@ -285,7 +301,7 @@ def test_coefficients_form_no_dense_matrix(monkeypatch):
     rf = RationalFunction(Poly([1.0, 0.2]), den)
     u = Symbol(Symbol.from_rational(rf, n_modes=256).coeffs)
     data, details = forward(u, details=True)
-    assert (details.path, details.core_size) == ("range", 3)
+    assert (details.pair.path, details.pair.core_size) == ("range", 3)
     assert data.n == 6
     assert real_diagnostics(u).passed
     assert aak.best_approx(u, 1).certificate.path == "range"
@@ -311,12 +327,12 @@ def _eigensystem(values, order):
 def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
                                                k_vals, k_order, rule):
     # a pair on the identity frame whose factors stand in for their own
-    # eigensystems, which come back from the lift as they are
+    # eigensystems, which the pair hands back as they are
     es_h, es_k = _eigensystem(h_vals, [0, 1, 2, 3]), _eigensystem(k_vals, k_order)
     monkeypatch.setattr(forward_map, "build_pair",
                         lambda u: hankel.HankelPair(u, es_h, es_k, 0.0, np.eye(4)))
-    monkeypatch.setattr(forward_map, "hermitian_eigs", lambda a: a)
-    monkeypatch.setattr(forward_map, "lift_eigs", lambda es, pair, shifted=False: es)
+    monkeypatch.setattr(hankel.HankelPair, "plain", property(lambda pair: pair.a0))
+    monkeypatch.setattr(hankel.HankelPair, "shifted", property(lambda pair: pair.a1))
     with pytest.raises(SpectralInconsistencyError, match=rule):
         forward(Symbol(np.array(coeffs, dtype=complex)))
 
@@ -373,7 +389,7 @@ def test_forward_never_returns_a_shorter_spectrum():
                     back, details = forward(symbol_of(u), details=True)
             except NumericalError:
                 continue
-            assert details.path == leg[0]
+            assert details.pair.path == leg[0]
             assert back.n == data.n
             assert np.all(np.abs(back.s - data.s) <= 1e-6 * data.s)
             whole[leg] += 1
@@ -446,10 +462,10 @@ def test_forward_fits_one_batch_per_cluster_dimension(monkeypatch):
 def test_forward_batch_errors_name_the_value(monkeypatch):
     u = synthesize(_two_dimension_spectrum()).u
     _, info = forward(u, details=True)
-    plain, shifted = info.actions
+    plain, shifted = info.pair.actions
     # a shifted action that reverses its image has no low-degree ratio
-    broken = dataclasses.replace(info, actions=(plain, lambda h: shifted(h)[::-1]))
-    monkeypatch.setattr(forward_map, "sigma_membership", lambda symbol: broken)
+    monkeypatch.setattr(hankel.HankelPair, "actions",
+                        property(lambda pair: (plain, lambda h: shifted(h)[::-1])))
     with pytest.raises(FitError, match=r"^value r = 4 \(s_r = 1\.2, shifted side\): "
                                        r"ratio fit residual"):
         forward(u)

@@ -7,8 +7,8 @@ from szego.errors import ConsistencyError, InputError, NumericalError
 from szego import forward_map
 from szego.hankel import (DENSE_EIG_MAX, HankelPair, Symbol, _validate_eigs,
                           apply_H, apply_K, build_pair, dense_hankel, dense_square,
-                          exact_section, hankel_matvec, hermitian_eigs, lift_eigs,
-                          resize_symbol, shift_symbol, shifted_coeffs)
+                          exact_section, hankel_matvec, hermitian_eigs,
+                          resize_symbol, shifted_coeffs)
 
 
 def test_dense_hankel_hand_values(hand_symbol):
@@ -158,7 +158,7 @@ def test_hermitian_eigs_operator_path(rng, side):
     assert np.max(np.abs(top - dense[:4])) < 1e-9 * dense[0]
     assert pair.ku2_residual <= 1e-10 * hermitian_eigs(pair.a0).values[0]
     # the lifted pairs meet hermitian_eigs' bounds against the 700-mode square
-    lifted = lift_eigs(eigs, pair, shifted=side == "shifted")
+    lifted = pair.plain if side == "plain" else pair.shifted
     assert lifted.max_residual <= 1e-10 * eigs.values[0]
     assert lifted.orthonormality <= 1e-12
     assert forward_map.forward(Symbol(c)).n > 0
@@ -170,10 +170,10 @@ def test_range_lift_checks_the_pairs_against_the_full_square():
     u = resize_symbol(Symbol(np.array([3.0, 2.0, 1.0])), 1024)
     pair = build_pair(u)
     assert (pair.path, pair.frame.shape[1]) == ("range", 3)
-    lift_eigs(hermitian_eigs(pair.a0), pair)
+    pair.plain
     thin = HankelPair(u, pair.a0[:2], pair.a1[:2], 0.0, pair.frame[:, :2])
     with pytest.raises(ConsistencyError, match="eigen residual"):
-        lift_eigs(hermitian_eigs(thin.a0), thin)
+        thin.plain
 
 
 def test_full_rank_coefficients_at_the_old_cutoff_take_the_frame(rng):
@@ -182,8 +182,7 @@ def test_full_rank_coefficients_at_the_old_cutoff_take_the_frame(rng):
     u = Symbol(rng.standard_normal(DENSE_EIG_MAX) + 1j * rng.standard_normal(DENSE_EIG_MAX))
     pair = build_pair(u)
     assert pair.path == "range" and pair.frame.shape[1] <= DENSE_EIG_MAX
-    for a, shifted in ((pair.a0, False), (pair.a1, True)):
-        lifted = lift_eigs(hermitian_eigs(a), pair, shifted=shifted)
+    for lifted in (pair.plain, pair.shifted):
         assert lifted.vectors.shape == (DENSE_EIG_MAX, pair.frame.shape[1])
 
 
@@ -245,20 +244,6 @@ def test_resize_symbol_truncation_drops_rational(rank_one_symbol):
     assert small.n_modes == 3
     assert small.rational is None
     assert np.allclose(small.coeffs, [0.75, 0.375, 0.1875])
-
-
-def test_shift_symbol_of_a_two_mode_rational_symbol():
-    rf = RationalFunction(Poly([1.0]), Poly([1.0, -0.5]))
-    shifted = shift_symbol(Symbol.from_rational(rf, n_modes=2))
-    assert np.allclose(shifted.coeffs, [0.5])
-    assert shifted.rational is not None
-
-
-def test_shift_symbol(hand_symbol):
-    shifted = shift_symbol(resize_symbol(hand_symbol, 4))
-    assert np.allclose(shifted.coeffs, [2.0, 0.0, 0.0])
-    with pytest.raises(InputError):
-        shift_symbol(Symbol(np.array([1.0])))
 
 
 def test_zero_symbol_is_rejected_by_build():

@@ -97,7 +97,7 @@ def test_dynamic_range_sweep_comes_back_whole(leg):
         except NumericalError as exc:
             lost.append((data.s[-1], type(exc).__name__))
             continue
-        assert details.path == leg
+        assert details.pair.path == leg
         if not is_whole(data, back):
             lost.append((data.s[-1], back.n))
     assert not lost, lost
