@@ -7,8 +7,8 @@ rank-k Hankel approximation, and the cubic flow with its commuting
 hierarchy, integrated both directly and through the spectral data.
 """
 
-from .algebra import (CircleGrid, Poly, RationalFunction, conj_reflect,
-                      grid_transform, next_pow2, polymatrix_det_minors)
+from .algebra import (Poly, RationalFunction, conj_reflect, grid_transform,
+                      next_pow2, polymatrix_det_minors)
 from .bateman import (IdentityReport, InterlacedValues, identity_residuals,
                       j_of_x, kappa_squares, tau_squares)
 from .blaschke import BlaschkeProduct, from_zeros
@@ -19,8 +19,8 @@ from .errors import (AmbiguousClusterWarning, ConsistencyError,
                      SzegoError)
 from .forward_map import (ForwardDetails, MultiplicityCluster, RealDiagnostics,
                           SpectralData, forward, real_diagnostics)
-from .hankel import (HankelPair, Symbol, apply_H, apply_K, build_pair,
-                     dense_hankel, hankel_matvec, resize_symbol)
+from .hankel import (HankelPair, Symbol, build_pair, dense_hankel,
+                     hankel_matvec, resize_symbol)
 from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
                           build_cmatrix, collapsed_fourvalue,
                           consistency_report, fourvalue_formula, roundtrip,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AAKCertificate", "AAKResult", "AmbiguousClusterWarning",
-    "BlaschkeProduct", "CMatrix", "CircleGrid", "ConservedRecord",
+    "BlaschkeProduct", "CMatrix", "ConservedRecord",
     "ConsistencyError", "DegreeMismatchError", "FitError",
     "FlowComparison", "ForwardDetails", "HankelPair",
     "HypothesisViolationError", "IdentityReport", "InputError",
@@ -46,7 +46,7 @@ __all__ = [
     "RealDiagnostics", "RoundtripReport", "SchmidtVector", "SpectralData",
     "SpectralInconsistencyError", "StepSizeError", "Symbol",
     "SynthesisResult", "SzegoError", "Trajectory", "TravelingWaveReport",
-    "VerifyCase", "apply_H", "apply_K", "best_approx", "build_cmatrix",
+    "VerifyCase", "best_approx", "build_cmatrix",
     "build_pair", "collapsed_fourvalue", "compare_flows", "conj_reflect",
     "conserved_quantities", "consistency_report", "dense_hankel",
     "direct_evolve", "exact_evolve", "forward", "fourvalue_formula",

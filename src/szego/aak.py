@@ -12,7 +12,8 @@ SVD of the m x N strip of the exact section on its core for a symbol with
 a rational form (Kronecker: the Hankel rank is at most m), or of the
 r x N strip on a range frame for a coefficient-only symbol, checked and
 lifted to length N by the pair, so no N x N matrix is formed before the
-certificate.
+certificate.  The Schmidt vector is symmetrized and checked with
+pair.actions[0], the action those eigenvectors belong to.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .algebra import (Poly, RationalFunction, conj_reflect, fit_rational_samples
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
-from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, apply_H, build_pair,
-                     exact_section, resize_symbol)
+from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, build_pair, exact_section,
+                     resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
 GAP_FLOOR_REL = 1e-8
@@ -37,6 +38,7 @@ TAIL_REL = 1e-8
 TIGHT_TAIL_REL = 1e-14
 GRID_FACTOR = 8
 RATIO_SAMPLES = 3
+PERTURBATION_SAMPLES = 200
 PERTURBATION_SCALE = 1e-3
 
 
@@ -49,20 +51,19 @@ class SchmidtVector:
     residual: float
 
 
-def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
-    """Symmetric Schmidt vector of the plain square of u at value s.
+def schmidt_vector(pair: HankelPair, s: float) -> SchmidtVector:
+    """Symmetric Schmidt vector of the plain square of pair at value s.
 
-    Takes an eigenvector v of the square at s**2 and symmetrizes:
+    Takes an eigenvector v of the square at s**2 from pair.plain and
+    symmetrizes with the pair's plain action H_u = pair.actions[0]:
     h = v + (1/s) H_u(v), falling back to i v + (1/s) H_u(i v) when the
     first combination cancels (the two cannot both vanish in exact
     arithmetic since their norms squared add to 4).  s**2 must match an
-    eigenvalue to within 1e-6 of the top one, else InputError.  eigs is
-    the square's eigensystem, build_pair(u).plain by default.
+    eigenvalue to within 1e-6 of the top one, else InputError.
     """
     if s <= 0.0:
         raise InputError("Schmidt construction needs s > 0")
-    if eigs is None:
-        eigs = build_pair(u).plain
+    eigs, apply_h = pair.plain, pair.actions[0]
     vals = eigs.values
     if vals.size == 0:
         # the range frame of a zero matrix has no column
@@ -72,15 +73,14 @@ def schmidt_vector(u: Symbol, s: float, eigs=None) -> SchmidtVector:
     if abs(vals[idx] - s * s) > 1e-6 * top:
         raise InputError(f"s**2 = {s * s:.6e} is not an eigenvalue of the square")
     v = eigs.vectors[:, idx]
-    hv = apply_H(u, v)
-    h = v + hv / s
+    h = v + apply_h(v) / s
     if np.linalg.norm(h) <= 1e-8 * np.linalg.norm(v):
-        h = 1j * v + apply_H(u, 1j * v) / s
+        h = 1j * v + apply_h(1j * v) / s
     norm = float(np.linalg.norm(h))
     if norm <= 1e-8 * np.linalg.norm(v):
         raise NumericalError("both Schmidt candidates vanish")
     h = h / norm
-    residual = float(np.linalg.norm(apply_H(u, h) - s * h))
+    residual = float(np.linalg.norm(apply_h(h) - s * h))
     if residual >= SCHMIDT_RESIDUAL_REL * s:
         raise ConsistencyError(
             f"Schmidt residual {residual:.3e} exceeds {SCHMIDT_RESIDUAL_REL:.1e} * s")
@@ -199,8 +199,8 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
     n_work = _tight_truncation(u)
     while True:
         pair = build_pair(resize_symbol(u, n_work))
-        ub, eigs = pair.symbol, pair.plain
-        svals = np.sqrt(eigs.values)
+        ub = pair.symbol
+        svals = np.sqrt(pair.plain.values)
         svals = np.pad(svals, (0, n_work - svals.size))
         top = float(svals[0])
         if top == 0.0:
@@ -219,7 +219,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
                 f"gap hypothesis fails: s_{k - 1} - s_k = "
                 f"{svals[k - 1] - svals[k]:.3e}")
         s = float(svals[k])
-        sv = schmidt_vector(ub, s, eigs)
+        sv = schmidt_vector(pair, s)
 
         # a finer grid holds every point of this one, so it cannot help
         m = next_pow2(GRID_FACTOR * n_work)
@@ -306,15 +306,14 @@ def ratio_certificate(details: ForwardDetails, cluster: MultiplicityCluster,
     return tuple(samples)
 
 
-def perturbation_sanity(result: AAKResult, n_samples: int = 200,
-                        rng=None) -> float:
+def perturbation_sanity(result: AAKResult, rng=None) -> float:
     """Check that random nearby rank-k symbols approximate no better.
 
     The approximation r is refitted as a rational function of degree
     (k - 1, k); its coefficients are jittered by 1e-3 (denominators kept
-    root-free outside the disc), and the smallest Hankel distance from u
-    over all perturbed symbols comes back.  A value below s_k would
-    contradict optimality.
+    root-free outside the disc) PERTURBATION_SAMPLES times, and the
+    smallest Hankel distance from u over all perturbed symbols comes back.
+    A value below s_k would contradict optimality.
     """
     k = result.k
     if result.s == 0.0:
@@ -334,7 +333,7 @@ def perturbation_sanity(result: AAKResult, n_samples: int = 200,
     npad = num.padded(k)
     dpad = den.padded(k + 1)
     nscale = max(float(np.max(np.abs(npad))), 1e-300)
-    for _ in range(n_samples):
+    for _ in range(PERTURBATION_SAMPLES):
         dn = ((rng.standard_normal(k) + 1j * rng.standard_normal(k))
               * PERTURBATION_SCALE * nscale)
         dd = np.zeros(k + 1, dtype=complex)

@@ -257,25 +257,6 @@ class RationalFunction:
         return RationalFunction(Poly(num), Poly(den), check_coprime=check_coprime)
 
 
-@dataclass(frozen=True, eq=False)
-class CircleGrid:
-    """Samples of a function at the M-th roots of unity, M a power of two."""
-
-    size: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        m = int(self.size)
-        if m < 1 or (m & (m - 1)) != 0:
-            raise InputError(f"grid size {m} is not a power of two")
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape != (m,):
-            raise InputError("sample count does not match grid size")
-        s.flags.writeable = False
-        object.__setattr__(self, "size", m)
-        object.__setattr__(self, "samples", s)
-
-
 def fold_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     """Coefficients reduced modulo z**m - 1 and zero-padded to length m.
 
@@ -291,15 +272,15 @@ def fold_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(c.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
-def grid_transform(p: Poly | np.ndarray, m: int) -> CircleGrid:
-    """Evaluate a polynomial at the M-th roots of unity (exactly, via FFT).
+def grid_transform(p: Poly | np.ndarray, m: int) -> np.ndarray:
+    """The (M,) samples of a polynomial at the M-th roots of unity (exactly, via FFT).
 
     Degrees >= M are handled by folding coefficients modulo M (fold_coeffs).
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise InputError(f"grid size {m} is not a power of two")
     c = p.coeffs if isinstance(p, Poly) else np.asarray(p, dtype=complex)
-    return CircleGrid(m, m * np.fft.ifft(fold_coeffs(c, m)))
+    return m * np.fft.ifft(fold_coeffs(c, m))
 
 
 def polymatrix_det_minors(entries, degree_bound: int):

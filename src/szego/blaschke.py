@@ -72,7 +72,11 @@ class BlaschkeProduct:
         return complex(np.exp(-1j * self.angle))
 
     def __call__(self, z):
-        return blaschke_eval(self, z)
+        """Evaluate exp(-i*angle) * P(z)/D(z)."""
+        denom = self.d(z)
+        if np.min(np.abs(np.atleast_1d(denom))) < 1e-14:
+            raise NumericalError("Blaschke evaluation at a pole (|z| > 1 region)")
+        return self.phase * self.p(z) / denom
 
     @staticmethod
     def constant(angle: float) -> "BlaschkeProduct":
@@ -87,12 +91,3 @@ def from_zeros(zeros, angle: float) -> BlaschkeProduct:
     if zeros.size == 0:
         return BlaschkeProduct(angle, Poly.one())
     return BlaschkeProduct(angle, Poly(npoly.polyfromroots(zeros)))
-
-
-def blaschke_eval(b: BlaschkeProduct, z):
-    """Evaluate exp(-i*angle) * P(z)/D(z)."""
-    denom = b.d(z)
-    if np.min(np.abs(np.atleast_1d(denom))) < 1e-14:
-        raise NumericalError("Blaschke evaluation at a pole (|z| > 1 region)")
-    return b.phase * b.p(z) / denom
-

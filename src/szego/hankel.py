@@ -23,10 +23,14 @@ seeded range finder (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.2)
 that grows F from batched FFT products of the zero-padded truncation G
 and its shift G~; range(G) holds range(G~) (u = G e0).
 
-The pair owns its eigen stage: HankelPair.plain and .shifted take one
-hermitian_eigs SVD each, check the shifted-square identity before either
-is returned, and lift the eigenvectors to length N (checked against the
-N-mode squares on a range frame).  No other module calls hermitian_eigs.
+The pair owns its eigen stage and its actions: HankelPair.plain and
+.shifted take one hermitian_eigs SVD each, check the shifted-square
+identity before either is returned, and lift the eigenvectors to length
+N.  HankelPair.actions are the antilinear maps of the two matrices the
+pair diagonalized (the exact section and its shift on the core, the FFT
+products of G and G~ on a range frame), and the lifted pairs of a range
+frame are checked against the squares of those same actions.  No other
+module calls hermitian_eigs or applies H_u or K_u another way.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import RationalFunction, grid_transform, next_pow2, series_divide
+from .algebra import RationalFunction, next_pow2, series_divide
 from .errors import ConsistencyError, InputError, NumericalError
 
 # the widest range frame (perfbench/tracing.py imports it under this name)
@@ -104,10 +108,6 @@ class Symbol:
     @property
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def values_on_grid(self, m: int) -> np.ndarray:
-        """Evaluate at the m-th roots of unity (m a power of two)."""
-        return grid_transform(self.coeffs, m).samples
 
     @staticmethod
     def from_rational(rf: RationalFunction, n_modes: int | None = None) -> "Symbol":
@@ -231,20 +231,6 @@ def exact_section(c: np.ndarray, m: int) -> np.ndarray:
     return scipy.linalg.hankel(c[:m], c[m - 1: 2 * m - 1])
 
 
-def apply_H(u: Symbol, h: np.ndarray) -> np.ndarray:
-    """The antilinear Hankel action: project(u * conj(h)) in coefficients.
-
-    h is a vector or an (N, k) block of columns.
-    """
-    return hankel_matvec(u.coeffs, np.conj(h))
-
-
-def apply_K(u: Symbol, h: np.ndarray) -> np.ndarray:
-    """The shifted action: left-shift of apply_H, exact on the truncation."""
-    y = apply_H(u, h)
-    return np.concatenate([y[1:], np.zeros_like(y[:1])])
-
-
 def shifted_coeffs(u: Symbol) -> np.ndarray:
     """Coefficients of the left-shifted symbol, zero-padded to length N."""
     return np.concatenate([u.coeffs[1:], [0.0]])
@@ -288,17 +274,20 @@ class HankelPair:
         """The frame's width: m on the rational core, r on a range frame."""
         return self.frame.shape[1]
 
-    @property
+    @cached_property
     def actions(self) -> tuple:
         """The antilinear maps h -> A conj(h) of the plain and the shifted matrix.
 
-        On the core they are the exact section F a0 and its shift F a1, in
-        O(N m) per column; on a range frame they are apply_H and apply_K of
-        the zero-padded truncation, whose squares plain and shifted are
-        checked against.
+        They are the matrices plain and shifted diagonalize: on the core the
+        exact section F a0 and its shift F a1, in O(N m) per column; on a
+        range frame the FFT products of the zero-padded truncation G and of
+        G~, each from its own coefficients (a large c_0 then puts no
+        rounding into G~).  Every H_u and K_u product goes through them.
         """
         if self.path == "range":
-            return partial(apply_H, self.symbol), partial(apply_K, self.symbol)
+            u = self.symbol
+            ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
+            return tuple(lambda h, op=op: op.matvec(np.conj(h)) for op in ops)
         frame, a0, a1 = self.frame, self.a0, self.a1
         return (lambda h: frame @ (a0 @ np.conj(h)),
                 lambda h: frame @ (a1 @ np.conj(h)))
@@ -322,30 +311,27 @@ class HankelPair:
             raise ConsistencyError(
                 f"shifted-square identity residual {self.ku2_residual:.3e} exceeds "
                 f"{KU2_RESIDUAL_REL:.1e} * {top:.3e}")
-        return self._lift(eigs, self.symbol.coeffs)
+        return self._lift(eigs, self.actions[0])
 
     @cached_property
     def shifted(self) -> EigenSystem:
         """Every eigenpair of the shifted square, after plain's identity check."""
         self.plain  # the identity check runs first
-        return self._lift(hermitian_eigs(self.a1), shifted_coeffs(self.symbol))
+        return self._lift(hermitian_eigs(self.a1), self.actions[1])
 
-    def _lift(self, es: EigenSystem, coeffs: np.ndarray) -> EigenSystem:
+    def _lift(self, es: EigenSystem, act) -> EigenSystem:
         """es of a strip's r x r square a a*, with each eigenvector y lifted to F y.
 
         A range frame holds range(G) only to the finder's tolerance, so its
         lifted pairs are checked by _validate_eigs, with hermitian_eigs'
-        bounds, against the N-mode square of G or G~ from its own
-        coefficients (a large c_0 then puts no rounding into the shifted one).
+        bounds, against the N-mode square A A* x = act(act(x)) of the
+        pair's own action act (A is complex symmetric).
         """
         vectors = self.frame @ es.vectors
         if self.path != "range":
             return replace(es, vectors=vectors)
-        op = FastHankel(coeffs)
         top = es.values[0] if es.values.size else 0.0
-        # A A* x = A conj(A conj(x)) for a complex symmetric A
-        res, ortho = _validate_eigs(lambda x: op.matvec(np.conj(op.matvec(np.conj(x)))),
-                                    es.values, vectors, top)
+        res, ortho = _validate_eigs(lambda x: act(act(x)), es.values, vectors, top)
         return EigenSystem(es.values, vectors, res, ortho)
 
 

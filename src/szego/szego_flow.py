@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bateman
-from .algebra import RationalFunction, next_pow2
+from .algebra import RationalFunction, grid_transform, next_pow2
 from .errors import InputError, StepSizeError
 from .forward_map import SpectralData, forward
 from .hankel import Symbol, dense_square, hankel_matvec
@@ -104,7 +104,7 @@ class ConservedRecord:
 def energy_from_values(u: Symbol) -> float:
     """Quartic energy (1/4) mean |u|^4 over the circle, dealiased."""
     m = next_pow2(max(4 * u.n_modes, 8))
-    vals = u.values_on_grid(m)
+    vals = grid_transform(u.coeffs, m)
     return float(0.25 * np.mean(np.abs(vals) ** 4))
 
 

@@ -66,7 +66,7 @@ def test_forward_rejects_zero_symbol():
     for n_modes in (8, 1024):
         u = Symbol(np.zeros(n_modes))
         for run in (forward, real_diagnostics, lambda u: aak.best_approx(u, 1),
-                    lambda u: aak.schmidt_vector(u, 1.0)):
+                    lambda u: aak.schmidt_vector(hankel.build_pair(u), 1.0)):
             with pytest.raises(InputError):
                 run(u)
 

@@ -6,7 +6,7 @@ from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError, NumericalError
 from szego import forward_map
 from szego.hankel import (DENSE_EIG_MAX, HankelPair, Symbol, _validate_eigs,
-                          apply_H, apply_K, build_pair, dense_hankel, dense_square,
+                          build_pair, dense_hankel, dense_square,
                           exact_section, hankel_matvec, hermitian_eigs,
                           resize_symbol, shifted_coeffs)
 
@@ -38,13 +38,14 @@ def test_matvec_matches_dense(rng):
     assert np.max(np.abs(dense - fast)) < 1e-12 * np.max(np.abs(dense))
 
 
-def test_apply_h_is_antilinear(rng, hand_symbol):
+def test_pair_actions_are_antilinear(rng, hand_symbol):
     u = resize_symbol(hand_symbol, 8)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     a = 0.3 - 1.2j
-    lhs = apply_H(u, a * h)
-    rhs = np.conj(a) * apply_H(u, h)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    for act in build_pair(u).actions:
+        lhs = act(a * h)
+        rhs = np.conj(a) * act(h)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_shifted_square_identity(rng):
@@ -72,14 +73,27 @@ def test_rational_pair_is_the_exact_section_on_its_frame(n_modes):
         assert np.max(np.abs(f @ a - want)) < 1e-13 * np.max(np.abs(want))
 
 
-def test_apply_k_drops_constant(hand_symbol):
+def test_shifted_action_drops_constant(hand_symbol):
     u = resize_symbol(hand_symbol, 6)
     h = np.zeros(6, dtype=complex)
     h[0] = 1.0
     # K acts through the shifted symbol: first column is (2, 0, 0, ...)
-    out = apply_K(u, h)
+    out = build_pair(u).actions[1](h)
     assert abs(out[0] - 2.0) < 1e-14
     assert np.max(np.abs(out[1:])) < 1e-14
+
+
+def test_range_shifted_action_is_the_shifted_matrix_at_a_large_constant(rng):
+    # G~ from its own coefficients: a left shift of G's FFT product would
+    # carry rounding at the scale of c_0 = 1e6 into it
+    g = np.random.default_rng(3)
+    c = (g.standard_normal(1024) + 1j * g.standard_normal(1024)) * 0.5 ** np.arange(1024)
+    c[0] = 1e6
+    u = Symbol(c)
+    h = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    want = dense_hankel(shifted_coeffs(u)) @ np.conj(h)
+    got = build_pair(u).actions[1](h)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_hermitian_eigs_dense_path(rng):
