@@ -7,8 +7,7 @@ rank-k Hankel approximation, and the cubic flow with its commuting
 hierarchy, integrated both directly and through the spectral data.
 """
 
-from .algebra import (Poly, RationalFunction, conj_reflect, grid_transform,
-                      next_pow2, polymatrix_det_minors)
+from .algebra import Poly, RationalFunction
 from .bateman import (IdentityReport, InterlacedValues, identity_residuals,
                       j_of_x, kappa_squares, tau_squares)
 from .blaschke import BlaschkeProduct, from_zeros
@@ -19,8 +18,7 @@ from .errors import (AmbiguousClusterWarning, ConsistencyError,
                      SzegoError)
 from .forward_map import (ForwardDetails, MultiplicityCluster, RealDiagnostics,
                           SpectralData, forward, real_diagnostics)
-from .hankel import (HankelPair, Symbol, build_pair, dense_hankel,
-                     hankel_matvec, resize_symbol)
+from .hankel import HankelPair, Symbol, build_pair, resize_symbol
 from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
                           build_cmatrix, collapsed_fourvalue,
                           consistency_report, fourvalue_formula, roundtrip,
@@ -47,12 +45,11 @@ __all__ = [
     "SpectralInconsistencyError", "StepSizeError", "Symbol",
     "SynthesisResult", "SzegoError", "Trajectory", "TravelingWaveReport",
     "VerifyCase", "best_approx", "build_cmatrix",
-    "build_pair", "collapsed_fourvalue", "compare_flows", "conj_reflect",
-    "conserved_quantities", "consistency_report", "dense_hankel",
+    "build_pair", "collapsed_fourvalue", "compare_flows",
+    "conserved_quantities", "consistency_report",
     "direct_evolve", "exact_evolve", "forward", "fourvalue_formula",
-    "from_zeros", "grid_transform", "hankel_matvec",
-    "identity_residuals", "j_of_x", "kappa_squares", "next_pow2",
-    "perturbation_sanity", "polymatrix_det_minors", "ratio_certificate",
+    "from_zeros", "identity_residuals", "j_of_x", "kappa_squares",
+    "perturbation_sanity", "ratio_certificate",
     "real_diagnostics", "resize_symbol", "roundtrip", "run_verify",
     "schmidt_vector", "synthesize", "szego_rhs",
     "tau_squares", "traveling_wave",

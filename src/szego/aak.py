@@ -5,7 +5,8 @@ square, either v + (1/s) H_u(v) or its rotation by i is a symmetric
 Schmidt vector h (H_u(h) = s h).  The quotient phi = h / conj(h) is
 unimodular on the circle; subtracting s times its analytic projection
 from u leaves a symbol whose Hankel matrix has rank k and distance
-exactly s_k from the original, which a dense SVD certifies.
+exactly s_k from the original, which dense SVDs of exact sections
+(FastHankel(c[:2m - 1], m).dense()) certify.
 
 The eigenpairs of the square are build_pair(u).plain, as in forward: one
 SVD of the m x N strip of the exact section on its core for a symbol with
@@ -28,7 +29,7 @@ from .algebra import (Poly, RationalFunction, conj_reflect, fit_rational_samples
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
-from .hankel import (TRUNCATION_CAP, HankelPair, Symbol, build_pair, exact_section,
+from .hankel import (TRUNCATION_CAP, FastHankel, HankelPair, Symbol, build_pair,
                      resize_symbol)
 
 RANK_FLOOR_REL = 1e-7
@@ -142,10 +143,9 @@ def _certify(pair: HankelPair, v: np.ndarray, s: float, top: float, uni: float,
     r2 = resize_symbol(u, 2 * m - 1).coeffs
     op = 0.0
     if v.any():
-        v2 = np.concatenate([v, np.zeros(r2.size - v.size, dtype=complex)])
-        op = float(scipy.linalg.svdvals(exact_section(v2, m))[0])
-        r2 = r2 - v2
-    sv_r = scipy.linalg.svdvals(exact_section(r2, m))
+        op = float(scipy.linalg.svdvals(FastHankel(v, m).dense())[0])
+        r2 = r2 - np.pad(v, (0, m - 1))
+    sv_r = scipy.linalg.svdvals(FastHankel(r2, m).dense())
     threshold = RANK_FLOOR_REL * top
     rank = int(np.sum(sv_r > threshold))
     return AAKCertificate(s, op, rank, threshold, uni, tail, m, pair.path,
@@ -345,6 +345,6 @@ def perturbation_sanity(result: AAKResult, rng=None) -> float:
         except NotAnalyticError:
             continue
         diff = u_ext - pert.taylor(2 * n - 1)
-        sv = scipy.linalg.svdvals(exact_section(diff, n))
+        sv = scipy.linalg.svdvals(FastHankel(diff, n).dense())
         best = min(best, float(sv[0]))
     return best

@@ -22,7 +22,7 @@ from .bateman import identity_residuals, kappa_squares, tau_squares
 from .blaschke import BlaschkeProduct
 from .errors import InputError, NumericalError
 from .forward_map import SpectralData, forward
-from .hankel import Symbol, exact_section, resize_symbol
+from .hankel import FastHankel, Symbol, resize_symbol
 from .inverse_map import roundtrip, synthesize
 from .szego_flow import (CONSERVED_LABELS, compare_flows, conserved_quantities,
                          direct_evolve, exact_evolve, traveling_wave)
@@ -203,7 +203,7 @@ def cmd_synthesize(args) -> int:
         print(f"smallest denominator root modulus: {result.min_root_modulus:.12g}")
     print(f"circle condition max|Q|/min|Q| = {result.circle_condition:.6g}")
     m = 4 * max(result.total_degree, 1)
-    sv = scipy.linalg.svdvals(exact_section(resize_symbol(u, 2 * m - 1).coeffs, m))
+    sv = scipy.linalg.svdvals(FastHankel(resize_symbol(u, 2 * m - 1).coeffs, m).dense())
     rank = int(np.sum(sv > 1e-10 * sv[0]))
     print(f"rank certificate: numerical Hankel rank {rank} "
           f"(expected {result.total_degree})")

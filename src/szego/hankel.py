@@ -4,8 +4,10 @@ A symbol u(z) = sum c_n z**n is represented by its first N Fourier
 coefficients, optionally backed by an exact rational form.  The Hankel
 matrix G[n, k] = c_{n+k} acts antilinearly through h -> G conj(h); the
 shifted matrix uses c_{n+k+1}.  Their squares satisfy the exact
-truncation identity G~ G~* = G G* - outer(u, conj(u)).  Matvecs run in
-O(N log N) through circulant embedding.
+truncation identity G~ G~* = G G* - outer(u, conj(u)).  FastHankel is
+the one Hankel type: it holds the FFT of a coefficient window, so G, G~
+and the exact m x m section c_{i+j} are each a FastHankel, with matvecs
+in O(N log N) by circulant embedding and dense() for the matrix itself.
 
 build_pair returns factors, never squares, and hermitian_eigs takes one
 SVD of a factor (the square-root method of Laub, Heath, Paige & Ward,
@@ -119,12 +121,16 @@ class Symbol:
         implies the documented 1e-8 resolution bound.  A symbol still
         unresolved at 8192 modes raises NumericalError.  Polynomial
         symbols are exact at any size, so no doubling occurs; an explicit
-        n_modes is taken as given, and one below 1 raises InputError.
+        n_modes is taken as given, and one below max(deg num + 1, 2) raises
+        InputError naming that minimum.
         """
+        least = max(rf.num.degree + 1, 2)
         if n_modes is not None and n_modes < 1:
             raise InputError("mode count must be positive")
+        if n_modes is not None and n_modes < least:
+            raise InputError(f"truncation {n_modes} is below the {least} modes "
+                             "this rational symbol needs")
         n = n_modes if n_modes is not None else max(4 * max(rf.rank_bound, 1), 32)
-        n = max(n, rf.num.degree + 1, 2)
         # lacunary series (denominator in z**m) have exact zeros between
         # live coefficients, so the tail is judged over a window of the
         # denominator's period, not the single trailing entry
@@ -165,75 +171,48 @@ def resize_symbol(u: Symbol, n: int) -> Symbol:
     return Symbol(out)
 
 
-def _embedded_fft(c: np.ndarray) -> np.ndarray:
-    """FFT of c zero-padded to a power of two at least 2N - 1."""
-    return np.fft.fft(c, next_pow2(max(2 * c.size - 1, 2)))
+class FastHankel:
+    """The n x n Hankel matrix A[i, j] = c_{i+j} of a coefficient window c.
 
+    n is len(c) by default, and coefficients past c count as zero, so
+    FastHankel(c) is the zero-padded truncation G, FastHankel(c[1:], N)
+    its shift G~ and FastHankel(c[:2m - 1], m) the exact m x m section.
+    The window's FFT is taken once, on a circulant embedding of size at
+    least 2n - 1, which holds the longest window with no wrap-around;
+    matvec then runs in O(n log n), and dense() builds the matrix itself.
+    """
 
-def _fft_hankel(fc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_n = sum_k c_{n+k} x_k by circulant embedding, O(N log N), from
-    fc = _embedded_fft(c); x is a vector or an (N, k) block of columns."""
-    n = x.shape[0]
-    fc = fc.reshape(fc.shape + (1,) * (x.ndim - 1))
-    conv = np.fft.ifft(fc * np.fft.fft(x[::-1], fc.shape[0], axis=0), axis=0)
-    return conv[n - 1: 2 * n - 1]
+    def __init__(self, c: np.ndarray, n: int | None = None):
+        c = np.asarray(c, dtype=complex)
+        self.n = c.size if n is None else n
+        self.window = c[:2 * self.n - 1]
+        self.fc = np.fft.fft(self.window, next_pow2(max(2 * self.n - 1, 2)))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector or an (n, k) block x, whose columns share one FFT pass."""
+        x = np.asarray(x, dtype=complex)
+        n = self.n
+        if x.shape[0] != n:
+            raise InputError("vector length does not match symbol truncation")
+        fc = self.fc.reshape(self.fc.shape + (1,) * (x.ndim - 1))
+        conv = np.fft.ifft(fc * np.fft.fft(x[::-1], fc.shape[0], axis=0), axis=0)
+        return conv[n - 1: 2 * n - 1]
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix itself."""
+        w = np.zeros(2 * self.n - 1, dtype=complex)
+        w[:self.window.size] = self.window
+        return scipy.linalg.hankel(w[:self.n], w[self.n - 1:])
 
 
 def hankel_matvec(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_n = sum_k c_{n+k} x_k via circulant embedding, O(N log N).
-
-    x is a vector or an (N, k) block, whose columns share one FFT pass.
-    """
-    c = np.asarray(c, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if x.shape[0] != c.size:
-        raise InputError("vector length does not match symbol truncation")
-    return _fft_hankel(_embedded_fft(c), x)
+    """y_n = sum_k c_{n+k} x_k for a vector or an (N, k) block x, N = len(c)."""
+    return FastHankel(c).matvec(x)
 
 
-class FastHankel:
-    """Reusable FFT plan for repeated matvecs with one coefficient vector."""
-
-    def __init__(self, c: np.ndarray):
-        c = np.asarray(c, dtype=complex)
-        self.n = c.size
-        self.fc = _embedded_fft(c)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """G x for a vector or an (N, k) block x, whose columns share one FFT pass."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape[0] != self.n:
-            raise InputError("vector length does not match symbol truncation")
-        return _fft_hankel(self.fc, x)
-
-
-def dense_hankel(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    return scipy.linalg.hankel(c, np.concatenate([c[-1:], np.zeros(c.size - 1)]))
-
-
-def dense_square(c: np.ndarray) -> np.ndarray:
-    """The Hermitian square G G* of dense_hankel(c), symmetrized in place."""
-    g = dense_hankel(c)
-    sq = g @ g.conj().T
-    sq += sq.conj().T
-    sq *= 0.5
-    return sq
-
-
-def exact_section(c: np.ndarray, m: int) -> np.ndarray:
-    """The m x m section H[i, j] = c_{i+j} of the first 2m - 1 coefficients.
-
-    Unlike the zero-padded matrix of dense_hankel, this section of a
-    rational symbol has rank bounded by the true Hankel rank with no
-    truncation leakage, so it is the right object for rank certificates.
-    """
-    return scipy.linalg.hankel(c[:m], c[m - 1: 2 * m - 1])
-
-
-def shifted_coeffs(u: Symbol) -> np.ndarray:
-    """Coefficients of the left-shifted symbol, zero-padded to length N."""
-    return np.concatenate([u.coeffs[1:], [0.0]])
+def _truncation_ops(u: Symbol) -> tuple:
+    """G and G~ of the zero-padded truncation, each from its own coefficients."""
+    return FastHankel(u.coeffs), FastHankel(u.coeffs[1:], u.n_modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,9 +264,8 @@ class HankelPair:
         rounding into G~).  Every H_u and K_u product goes through them.
         """
         if self.path == "range":
-            u = self.symbol
-            ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
-            return tuple(lambda h, op=op: op.matvec(np.conj(h)) for op in ops)
+            return tuple(lambda h, op=op: op.matvec(np.conj(h))
+                         for op in _truncation_ops(self.symbol))
         frame, a0, a1 = self.frame, self.a0, self.a1
         return (lambda h: frame @ (a0 @ np.conj(h)),
                 lambda h: frame @ (a1 @ np.conj(h)))
@@ -362,10 +340,13 @@ def _range_frame(ops) -> np.ndarray:
     Alg. 4.2) on seeded blocks of RANGE_BLOCK complex Gaussian columns w:
     the residual of each matrix's FFT product A w off Q adds its left
     singular vectors above tol = EIG_RESIDUAL_REL * s / RANGE_PROBE_FACTOR,
-    s being the running lower bound max ||A w|| / ||w|| on s_1(A).  A fresh
-    block within tol for every A ends the search: ||(I - Q Q*) A|| <=
-    EIG_RESIDUAL_REL * s then fails with probability 10**-RANGE_BLOCK (their
-    eq. 4.3).  A frame wider than DENSE_EIG_MAX raises NumericalError.
+    s being a running lower bound on s_1(A): the larger of max ||A w|| / ||w||
+    (about ||A||_F / sqrt(N), far below s_1 when the values cluster) and
+    ||A conj(u1)|| = ||A* u1|| (A is complex symmetric), one power step from
+    the top left singular vector u1 of the block A w.  A fresh block within
+    tol for every A ends the search: ||(I - Q Q*) A|| <= EIG_RESIDUAL_REL * s
+    then fails with probability 10**-RANGE_BLOCK (their eq. 4.3).  A frame
+    wider than DENSE_EIG_MAX raises NumericalError.
     """
     rng = np.random.default_rng(0)
     n = ops[0].n
@@ -379,7 +360,9 @@ def _range_frame(ops) -> np.ndarray:
         scale = np.linalg.norm(probe, axis=0)
         for i, op in enumerate(ops):
             block = op.matvec(probe)
-            tops[i] = max(tops[i], float(np.max(np.linalg.norm(block, axis=0) / scale)))
+            u1 = np.linalg.svd(block, full_matrices=False)[0][:, 0]
+            tops[i] = max(tops[i], float(np.max(np.linalg.norm(block, axis=0) / scale)),
+                          float(np.linalg.norm(op.matvec(np.conj(u1)))))
             block -= frame @ (frame.conj().T @ block)
             residual = float(np.linalg.norm(block, axis=0).max())
             tol = EIG_RESIDUAL_REL * tops[i] / RANGE_PROBE_FACTOR
@@ -420,7 +403,7 @@ def build_pair(u: Symbol) -> HankelPair:
     if u.rational is not None:
         frame, a0, a1 = _rational_core(u)
     else:
-        ops = (FastHankel(u.coeffs), FastHankel(shifted_coeffs(u)))
+        ops = _truncation_ops(u)
         frame = _range_frame(ops)
         # G and G~ are complex symmetric: each strip Q* A = (A conj(Q))^T is
         # one FFT product, and a zero G~ (a constant symbol) gives zeros

@@ -18,7 +18,7 @@ from . import bateman
 from .algebra import RationalFunction, grid_transform, next_pow2
 from .errors import InputError, StepSizeError
 from .forward_map import SpectralData, forward
-from .hankel import Symbol, dense_square, hankel_matvec
+from .hankel import FastHankel, Symbol, hankel_matvec
 from .inverse_map import synthesize
 
 PROBE_YS = (0.1, 1.0, 10.0)
@@ -69,8 +69,11 @@ def _cubic_rhs(c: np.ndarray) -> np.ndarray:
 
 
 def _resolvents(c: np.ndarray, ys) -> list:
-    """w = (I + y H_u^2)^{-1} e_0 for each y, by dense LU."""
-    h2 = dense_square(c)
+    """w = (I + y H_u^2)^{-1} e_0 for each y, by dense LU on G G*, symmetrized."""
+    g = FastHankel(c).dense()
+    h2 = g @ g.conj().T
+    h2 += h2.conj().T
+    h2 *= 0.5
     eye = np.eye(c.size)
     e0 = np.zeros(c.size, dtype=complex)
     e0[0] = 1.0

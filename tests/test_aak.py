@@ -8,7 +8,7 @@ from szego.aak import (SchmidtVector, best_approx, perturbation_sanity,
                        ratio_certificate, schmidt_vector)
 from szego.errors import InputError, NumericalError
 from szego.forward_map import forward
-from szego.hankel import Symbol, build_pair, dense_hankel, resize_symbol
+from szego.hankel import FastHankel, Symbol, build_pair, resize_symbol
 from szego.verify import random_low_rank
 
 
@@ -56,7 +56,7 @@ def test_tail_beyond_the_cap_raises_before_any_eigensolve(monkeypatch):
         raise AssertionError("best_approx started an eigensolve")
 
     monkeypatch.setattr(hankel, "hermitian_eigs", no_eigensolve)
-    monkeypatch.setattr(hankel, "dense_hankel", no_eigensolve)
+    monkeypatch.setattr(hankel.FastHankel, "dense", no_eigensolve)
     monkeypatch.setattr(aak, "build_pair", no_eigensolve)
     with pytest.raises(NumericalError, match="cap of 8192 modes"):
         best_approx(u, 1)
@@ -90,10 +90,10 @@ def test_schmidt_vector_off_the_spectrum_raises_at_any_scale(scale):
 
 def test_schmidt_vector_of_a_rational_symbol_uses_the_core(monkeypatch,
                                                           rank_one_symbol):
-    def refuse(c):
+    def refuse(op):
         raise AssertionError("an N x N matrix was formed")
 
-    monkeypatch.setattr(hankel, "dense_hankel", refuse)
+    monkeypatch.setattr(hankel.FastHankel, "dense", refuse)
     sv = schmidt_vector(build_pair(rank_one_symbol), 1.0)
     assert sv.h.size == rank_one_symbol.n_modes
     assert sv.residual < 1e-9
@@ -122,7 +122,7 @@ def test_best_approx_core_matches_the_dense_path(make):
     n_work = core.certificate.truncation
     c = resize_symbol(u, n_work).coeffs
     framed = best_approx(Symbol(c), 1)
-    dense_s = scipy.linalg.svdvals(dense_hankel(c))[1]
+    dense_s = scipy.linalg.svdvals(FastHankel(c).dense())[1]
     assert (core.certificate.path, core.certificate.core_size) == (
         "rational", u.rational.rank_bound)
     assert framed.certificate.path == "range"
@@ -161,13 +161,10 @@ def test_zero_coefficients_above_the_cutoff_are_rejected():
         schmidt_vector(build_pair(Symbol(np.zeros(1024))), 1.0)
 
 
-def test_rational_symbol_forms_no_square(monkeypatch):
-    def refuse(c):
-        raise AssertionError("an N x N matrix was formed")
-
+def test_rational_symbol_forms_no_square(monkeypatch, certificate_sections):
+    # the certificate's two exact sections are the only matrices formed
     sizes = []
     eigs = hankel.hermitian_eigs
-    monkeypatch.setattr(hankel, "dense_hankel", refuse)
     monkeypatch.setattr(hankel, "hermitian_eigs",
                         lambda a: sizes.append(a.shape[0]) or eigs(a))
     u = _rational([1.0, 0.3j], [0.96 * np.exp(1.1j), 0.6])
@@ -176,6 +173,7 @@ def test_rational_symbol_forms_no_square(monkeypatch):
     assert (cert.path, cert.core_size) == ("rational", 2)
     assert sizes == [2]
     assert cert.truncation == 1024
+    assert certificate_sections == [1024, 1024]
     assert cert.distance_gap < 1e-7
 
 

@@ -203,6 +203,14 @@ def test_nonpositive_trunc_is_an_input_error(tmp_path, capsys, write):
         assert "mode count must be positive" in capsys.readouterr().err
 
 
+def test_trunc_below_a_rational_numerator_is_an_input_error(tmp_path, capsys):
+    # one mode cannot hold 0.75 / (1 - 0.5 z): it was raised to two in silence,
+    # and the unresolved section then failed its identity check (exit 3)
+    u_path = write_rational(tmp_path / "u.json", [0.75], [1.0, -0.5])
+    assert main(["analyze", u_path, "--trunc", "1"]) == 2
+    assert "below the 2 modes" in capsys.readouterr().err
+
+
 def test_negative_samples_is_an_input_error(tmp_path, capsys):
     u_path = write_symbol(tmp_path / "z.json", [0.0, 1.0])
     rc = main(["evolve", u_path, "--t-final", "0.1", "--mode", "exact",

@@ -12,8 +12,8 @@ from szego.errors import (AmbiguousClusterWarning, FitError, InputError,
                           NotInnerError, NumericalError, SpectralInconsistencyError)
 from szego.forward_map import (SpectralData, cluster_eigenvalues, extract_blaschke,
                                forward, real_diagnostics)
-from szego.hankel import (DENSE_EIG_MAX, ZERO_FLOOR_REL, EigenSystem, Symbol,
-                          dense_hankel, resize_symbol)
+from szego.hankel import (DENSE_EIG_MAX, ZERO_FLOOR_REL, EigenSystem, FastHankel,
+                          Symbol, resize_symbol)
 from szego.inverse_map import fourvalue_formula, synthesize
 from szego.verify import random_blaschke, random_spectral_data
 
@@ -199,8 +199,8 @@ def test_matrix_free_path_repeats_bitwise():
 def _dense_svdvals(c) -> dict:
     """Singular values of the zero-padded N x N matrix of c ("H") and of its
     shift ("K"), from a dense SVD of the coefficients alone."""
-    return {"H": scipy.linalg.svdvals(dense_hankel(c)),
-            "K": scipy.linalg.svdvals(dense_hankel(np.append(c[1:], 0.0)))}
+    return {"H": scipy.linalg.svdvals(FastHankel(c).dense()),
+            "K": scipy.linalg.svdvals(FastHankel(c[1:], c.size).dense())}
 
 
 def _dense_gaps(svals, details) -> np.ndarray:
@@ -236,6 +236,20 @@ def test_range_frame_resolves_a_shifted_matrix_far_below_the_plain_one():
     assert np.max(_dense_gaps(_dense_svdvals(c[:128]), details)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_range_frame_of_clustered_poles_stays_narrow(n):
+    # s = 10 * 0.5**k with constant factors: a finder tolerance scaled by
+    # max ||A w|| / ||w|| alone (about ||A||_F / sqrt(N)) grew an 85-column
+    # frame at n = 11 and passed the 512-column cap at n = 12
+    s = 10.0 * 0.5 ** np.arange(n)
+    data = SpectralData(s, tuple(BlaschkeProduct.constant(0.0) for _ in range(n)))
+    back, details = forward(Symbol(synthesize(data).u.coeffs), details=True)
+    assert details.pair.path == "range"
+    assert details.pair.core_size <= 16
+    assert back.n == n
+    assert np.max(np.abs(back.s - s)) < 1e-6 * s[0]
+
+
 def test_rational_core_matches_the_coefficients():
     # the m x m core of the exact section against the coefficients alone on
     # their range frame, and both against dense SVDs of the N x N matrices
@@ -262,7 +276,7 @@ def test_rational_core_near_the_circle_forms_no_large_square(monkeypatch, r, n_m
     def refuse(arg):
         raise AssertionError("an N x N matrix or a range frame was formed")
 
-    monkeypatch.setattr(hankel, "dense_hankel", refuse)
+    monkeypatch.setattr(hankel.FastHankel, "dense", refuse)
     monkeypatch.setattr(hankel, "_range_frame", refuse)
     u = Symbol.from_rational(RationalFunction(Poly([1.0]), Poly([1.0, -r])))
     assert u.n_modes == n_modes
@@ -288,15 +302,10 @@ def test_rational_core_fits_against_the_exact_section():
     assert np.max(np.abs(np.angle(np.exp(1j * data.angles())))) < 1e-10
 
 
-def test_coefficients_form_no_dense_matrix(monkeypatch):
+def test_coefficients_form_no_dense_matrix(certificate_sections):
     # 256 real coefficients of a rank-3 symbol take the range frame in
-    # forward, real_diagnostics and best_approx, with dense_hankel refused
-    # wherever the analysis modules hold it
-    def refuse(c):
-        raise AssertionError("an N x N matrix was formed")
-
-    for module in (hankel, forward_map):
-        monkeypatch.setattr(module, "dense_hankel", refuse, raising=False)
+    # forward, real_diagnostics and best_approx; only the certificate's two
+    # exact sections are formed as matrices
     den = Poly([1.0, -0.8]) * Poly([1.0, 0.5]) * Poly([1.0, -0.3])
     rf = RationalFunction(Poly([1.0, 0.2]), den)
     u = Symbol(Symbol.from_rational(rf, n_modes=256).coeffs)
@@ -304,7 +313,9 @@ def test_coefficients_form_no_dense_matrix(monkeypatch):
     assert (details.pair.path, details.pair.core_size) == ("range", 3)
     assert data.n == 6
     assert real_diagnostics(u).passed
-    assert aak.best_approx(u, 1).certificate.path == "range"
+    cert = aak.best_approx(u, 1).certificate
+    assert cert.path == "range"
+    assert certificate_sections == [cert.truncation] * 2
 
 
 def _eigensystem(values, order):

@@ -5,19 +5,34 @@ import scipy.linalg
 from szego.algebra import Poly, RationalFunction
 from szego.errors import ConsistencyError, InputError, NumericalError
 from szego import forward_map
-from szego.hankel import (DENSE_EIG_MAX, HankelPair, Symbol, _validate_eigs,
-                          build_pair, dense_hankel, dense_square,
-                          exact_section, hankel_matvec, hermitian_eigs,
-                          resize_symbol, shifted_coeffs)
+from szego.hankel import (DENSE_EIG_MAX, FastHankel, HankelPair, Symbol,
+                          _validate_eigs, build_pair, hankel_matvec,
+                          hermitian_eigs, resize_symbol)
 
 
-def test_dense_hankel_hand_values(hand_symbol):
-    m = dense_hankel(hand_symbol.coeffs)
+def test_fast_hankel_hand_values(hand_symbol):
+    m = FastHankel(hand_symbol.coeffs).dense()
     assert np.allclose(m, [[3.0, 2.0], [2.0, 0.0]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_fast_hankel_covers_every_window(rng, n):
+    # windows of length n (G), n - 1 at size n (G~) and 2n - 1 (the section)
+    c = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for op, window in ((FastHankel(c[:n]), c[:n]), (FastHankel(c[1:n], n), c[1:n]),
+                       (FastHankel(c, n), c)):
+        padded = np.concatenate([window, np.zeros(2 * n - 1 - window.size)])
+        want = scipy.linalg.hankel(padded[:n], padded[n - 1:])
+        assert np.array_equal(op.dense(), want)
+        for xx in (x[:, 0], x):
+            assert np.max(np.abs(op.matvec(xx) - op.dense() @ xx)) < 1e-12
+        with pytest.raises(InputError, match="vector length"):
+            op.matvec(x[1:])
+
+
 def test_hankel_section_extends_with_exact_coefficients(rank_one_symbol):
-    sec = exact_section(resize_symbol(rank_one_symbol, 5).coeffs, 3)
+    sec = FastHankel(resize_symbol(rank_one_symbol, 5).coeffs, 3).dense()
     expect = np.array([[0.75 * 0.5 ** (i + j) for j in range(3)]
                        for i in range(3)])
     assert np.allclose(sec, expect, atol=1e-14)
@@ -26,14 +41,14 @@ def test_hankel_section_extends_with_exact_coefficients(rank_one_symbol):
 def test_hankel_section_rank_is_the_denominator_degree():
     rf = RationalFunction(Poly([0.0, 1.0]), Poly([1.0, 0.0, 0.0, -0.3]))
     u = Symbol.from_rational(rf)
-    sv = scipy.linalg.svdvals(exact_section(resize_symbol(u, 47).coeffs, 24))
+    sv = scipy.linalg.svdvals(FastHankel(resize_symbol(u, 47).coeffs, 24).dense())
     assert int(np.sum(sv > 1e-10 * sv[0])) == 3
 
 
 def test_matvec_matches_dense(rng):
     c = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    dense = dense_hankel(c) @ x
+    dense = FastHankel(c).dense() @ x
     fast = hankel_matvec(c, x)
     assert np.max(np.abs(dense - fast)) < 1e-12 * np.max(np.abs(dense))
 
@@ -91,7 +106,7 @@ def test_range_shifted_action_is_the_shifted_matrix_at_a_large_constant(rng):
     c[0] = 1e6
     u = Symbol(c)
     h = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    want = dense_hankel(shifted_coeffs(u)) @ np.conj(h)
+    want = FastHankel(c[1:], 1024).dense() @ np.conj(h)
     got = build_pair(u).actions[1](h)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -164,11 +179,11 @@ def test_hermitian_eigs_operator_path(rng, side):
     c *= 0.5 ** np.arange(700)
     pair = build_pair(Symbol(c))
     assert pair.path == "range" and pair.a0.shape[0] < 100
-    a, cc = ((pair.a0, c) if side == "plain"
-             else (pair.a1, shifted_coeffs(Symbol(c))))
+    a, g = ((pair.a0, FastHankel(c).dense()) if side == "plain"
+            else (pair.a1, FastHankel(c[1:], 700).dense()))
     eigs = hermitian_eigs(a)
     top = eigs.values[:4]
-    dense = np.linalg.eigvalsh(dense_hankel(cc) @ np.conj(dense_hankel(cc)))[::-1]
+    dense = np.linalg.eigvalsh(g @ np.conj(g))[::-1]
     assert np.max(np.abs(top - dense[:4])) < 1e-9 * dense[0]
     assert pair.ku2_residual <= 1e-10 * hermitian_eigs(pair.a0).values[0]
     # the lifted pairs meet hermitian_eigs' bounds against the 700-mode square
@@ -205,15 +220,6 @@ def test_range_frame_wider_than_the_cap_raises(rng):
     u = Symbol(rng.standard_normal(2 * DENSE_EIG_MAX))
     with pytest.raises(NumericalError, match="range frame of width 5[0-9][0-9]"):
         build_pair(u)
-
-
-def test_dense_square_is_the_hermitian_square(rng):
-    c = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    gamma = dense_hankel(c)
-    direct = gamma @ gamma.conj().T
-    sq = dense_square(c)
-    assert np.max(np.abs(sq - direct)) <= 1e-12 * np.max(np.abs(direct))
-    assert np.array_equal(sq, sq.conj().T)
 
 
 def test_from_rational_resolves_geometric():
