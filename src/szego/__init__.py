@@ -18,11 +18,10 @@ from .errors import (AmbiguousClusterWarning, ConsistencyError,
                      SzegoError)
 from .forward_map import (ForwardDetails, MultiplicityCluster, RealDiagnostics,
                           SpectralData, forward, real_diagnostics)
-from .hankel import HankelPair, Symbol, build_pair, resize_symbol
-from .inverse_map import (CMatrix, RoundtripReport, SynthesisResult,
-                          build_cmatrix, collapsed_fourvalue,
-                          consistency_report, fourvalue_formula, roundtrip,
-                          synthesize)
+from .hankel import HankelPair, Symbol, resize_symbol
+from .inverse_map import (RoundtripReport, SynthesisResult,
+                          collapsed_fourvalue, consistency_report,
+                          fourvalue_formula, roundtrip, synthesize)
 from .szego_flow import (ConservedRecord, FlowComparison, Trajectory,
                          TravelingWaveReport, compare_flows,
                          conserved_quantities, direct_evolve, exact_evolve,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AAKCertificate", "AAKResult", "AmbiguousClusterWarning",
-    "BlaschkeProduct", "CMatrix", "ConservedRecord",
+    "BlaschkeProduct", "ConservedRecord",
     "ConsistencyError", "DegreeMismatchError", "FitError",
     "FlowComparison", "ForwardDetails", "HankelPair",
     "HypothesisViolationError", "IdentityReport", "InputError",
@@ -44,8 +43,7 @@ __all__ = [
     "RealDiagnostics", "RoundtripReport", "SchmidtVector", "SpectralData",
     "SpectralInconsistencyError", "StepSizeError", "Symbol",
     "SynthesisResult", "SzegoError", "Trajectory", "TravelingWaveReport",
-    "VerifyCase", "best_approx", "build_cmatrix",
-    "build_pair", "collapsed_fourvalue", "compare_flows",
+    "VerifyCase", "best_approx", "collapsed_fourvalue", "compare_flows",
     "conserved_quantities", "consistency_report",
     "direct_evolve", "exact_evolve", "forward", "fourvalue_formula",
     "from_zeros", "identity_residuals", "j_of_x", "kappa_squares",

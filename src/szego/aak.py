@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import (Poly, RationalFunction, conj_reflect, fit_rational_samples,
-                      next_pow2)
+from .algebra import (Poly, RationalFunction, fit_rational_samples, grid_transform,
+                      next_pow2, reflect_coeffs)
 from .errors import (ConsistencyError, InputError, NotAnalyticError,
                      NotInnerError, NumericalError)
 from .forward_map import ForwardDetails, MultiplicityCluster, fit_circle_ratio
@@ -223,7 +223,7 @@ def best_approx(u: Symbol, k: int) -> AAKResult:
 
         # a finer grid holds every point of this one, so it cannot help
         m = next_pow2(GRID_FACTOR * n_work)
-        hv = m * np.fft.ifft(sv.h, m)
+        hv = grid_transform(sv.h, m)
         if not np.min(np.abs(hv)) > 1e-12 * np.max(np.abs(hv)):
             raise NumericalError("Schmidt vector vanishes on the circle grid")
         phi = hv / np.conj(hv)
@@ -292,7 +292,8 @@ def ratio_certificate(details: ForwardDetails, cluster: MultiplicityCluster,
                 f"sample {i}: ratio is off the unit circle by {uni:.3e}")
         num, den = Poly(nums[i]), Poly(dens[i])
         deg = max(num.degree, den.degree)
-        refl = conj_reflect(num, deg).padded(deg + 1)
+        refl = reflect_coeffs(num.coeffs, deg)
+        refl = np.pad(refl, (0, deg + 1 - refl.size))
         dpad = den.padded(deg + 1)
         denom = np.vdot(refl, refl)
         c = np.vdot(refl, dpad) / denom if abs(denom) > 0 else 0.0
@@ -324,8 +325,8 @@ def perturbation_sanity(result: AAKResult, rng=None) -> float:
     r = result.r.coeffs
     m = next_pow2(max(8 * n, 32))
     z = np.exp(2j * np.pi * np.arange(m) / m)
-    rv = m * np.fft.ifft(r, m)
-    num, den, res = fit_rational_samples(z, rv, k - 1, k)
+    rv = grid_transform(r, m)
+    (num,), (den,), (res,) = fit_rational_samples(z, rv[None], k - 1, k)
     num, den = Poly(num), Poly(den)
     if not np.isfinite(res) or res > 1e-6 * max(float(np.max(np.abs(rv))), 1e-300):
         raise NumericalError(f"rank-k refit of the approximation failed ({res:.3e})")

@@ -1,10 +1,12 @@
 """Complex polynomial and rational arithmetic on the unit circle.
 
-Coefficient convention is degree-0 first throughout.  The workhorses are
-FFT transforms between coefficient vectors and samples at roots of unity,
-polynomial-matrix determinants by evaluation and interpolation, and a
-least-squares rational fit used to recover inner functions from pointwise
-ratios.
+Coefficient convention is degree-0 first throughout.  Poly and
+RationalFunction are the public types; the circle helpers below them
+take coefficient arrays, with rows stacked along the last axis.  The
+workhorses are grid_transform, the one map from coefficients to samples
+at roots of unity, polynomial-matrix determinants by evaluation and
+interpolation, and a least-squares rational fit used to recover inner
+functions from pointwise ratios.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ class Poly:
 
     Normalized on construction: trailing near-zero coefficients (relative
     threshold 1e-12) are removed, so ``coeffs[-1]`` is significant and the
-    zero polynomial has an empty coefficient array and degree -1.  The one
-    exception is ``conj_reflect``, which drops only exact zeros.
+    zero polynomial has an empty coefficient array and degree -1.
     """
 
     coeffs: np.ndarray
@@ -127,24 +128,6 @@ def reflect_coeffs(c: np.ndarray, d: int) -> np.ndarray:
     out[d + 1 - c.size:] = np.conj(c[::-1])
     nonzero = np.flatnonzero(out)
     return out[: nonzero[-1] + 1] if nonzero.size else out[:0]
-
-
-def conj_reflect(p: Poly, d: int) -> Poly:
-    """Reflect a polynomial of degree <= d through the unit circle.
-
-    Returns D with D(z) = z**d * conj(p)(1/z) (reflect_coeffs).  For a
-    monic Schur polynomial this is the normalized denominator of the
-    associated Blaschke product.
-
-    The top coefficient conj(p(0)) is kept however small it is (only an
-    exact zero goes), so reflecting twice at the same d gives p back; the
-    relative trim of ``Poly`` would drop it below 1e-12 of the largest.
-    """
-    c = reflect_coeffs(p.coeffs, d)
-    c.flags.writeable = False
-    out = object.__new__(Poly)
-    object.__setattr__(out, "coeffs", c)
-    return out
 
 
 def is_schur(a) -> bool:
@@ -272,21 +255,24 @@ def fold_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(c.shape[:-1] + (-1, m)).sum(axis=-2)
 
 
-def grid_transform(p: Poly | np.ndarray, m: int) -> np.ndarray:
-    """The (M,) samples of a polynomial at the M-th roots of unity (exactly, via FFT).
+def grid_transform(c: np.ndarray, m: int) -> np.ndarray:
+    """Samples at the M-th roots of unity of each coefficient row of c (exactly, via FFT).
 
-    Degrees >= M are handled by folding coefficients modulo M (fold_coeffs).
+    Rows stack along the last axis, so a (..., n) array gives (..., M)
+    samples from one batched FFT.  Degrees >= M are handled by folding
+    coefficients modulo M (fold_coeffs).
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise InputError(f"grid size {m} is not a power of two")
-    c = p.coeffs if isinstance(p, Poly) else np.asarray(p, dtype=complex)
-    return m * np.fft.ifft(fold_coeffs(c, m))
+    c = np.asarray(c, dtype=complex)
+    # ifft zero-pads a shorter row itself, without fold_coeffs' copy
+    return m * np.fft.ifft(c if c.shape[-1] <= m else fold_coeffs(c, m), m)
 
 
 def polymatrix_det_minors(entries, degree_bound: int):
     """Determinant and all first minors of a matrix of polynomials.
 
-    entries[k][j] is a Poly or a coefficient array.  One batched FFT
+    entries[k][j] is a coefficient array.  One batched grid_transform
     samples all q**2 entries at M >= 2*degree_bound + 1 roots of unity
     (a power of two).  The determinant and the q**2 minors, each a stack
     of index-deleted submatrices, are scalar determinants at every grid
@@ -303,9 +289,8 @@ def polymatrix_det_minors(entries, degree_bound: int):
         if len(row) != q:
             raise InputError("entry grid is not square")
         for j, entry in enumerate(row):
-            c = entry.coeffs if isinstance(entry, Poly) else np.asarray(entry, dtype=complex)
-            coeffs[k, j] = fold_coeffs(c, m)
-    values = np.moveaxis(m * np.fft.ifft(coeffs, axis=-1), -1, 0)
+            coeffs[k, j] = fold_coeffs(entry, m)
+    values = np.moveaxis(grid_transform(coeffs, m), -1, 0)
     dets = np.empty((m, 1 + q * q), dtype=complex)
     dets[:, 0] = np.linalg.det(values)
     if q > 1:
@@ -328,25 +313,23 @@ def fit_rational_samples(points: np.ndarray, values: np.ndarray,
                          num_deg: int, den_deg: int, use=None):
     """Least-squares rational fit num/den with den(0) = 1 at given points.
 
-    Solves num(z_k) - values_k * den(z_k) = 0 in the least-squares sense,
-    for one row of values or for each row of a (k, M) stack at once.  use
-    is a boolean mask like values: a masked sample's equation is zeroed,
-    which gives the same minimizer as dropping the sample.  One batched
+    Solves num(z_k) - values_k * den(z_k) = 0 in the least-squares sense
+    for each row of the (k, M) stack values at once.  use is a boolean
+    mask like values: a masked sample's equation is zeroed, which gives
+    the same minimizer as dropping the sample.  One batched
     SVD gives the minimum-norm solution with gelsd's cutoff (singular
     values at or below eps * max(M, p) * sigma_1 count as zero, M the
     samples used, p the unknowns), so when the data has lower true degree
-    the spurious common factors collapse to zero.  Returns the coefficient
-    arrays (num, den), lengths num_deg + 1 and den_deg + 1, and residual =
-    max_k |num(z_k)/den(z_k) - values_k| over the used samples (inf when
-    den nearly vanishes at one of them), stacked like values; no
-    analyticity validation is performed here.
+    the spurious common factors collapse to zero.  Returns the (k,
+    num_deg + 1) and (k, den_deg + 1) coefficient stacks num and den, and
+    the (k,) residual = max |num(z)/den(z) - values| over each row's used
+    samples (inf when den nearly vanishes at one of them); no analyticity
+    validation is performed here.
     """
     points = np.asarray(points, dtype=complex)
     values = np.asarray(values, dtype=complex)
-    single = values.ndim == 1
-    values = values.reshape(-1, points.size)
     use = (np.ones(values.shape, dtype=bool) if use is None
-           else np.asarray(use, dtype=bool).reshape(values.shape))
+           else np.asarray(use, dtype=bool))
     used = use.sum(axis=-1)
     n_unknowns = num_deg + den_deg + 1
     if used.min() < n_unknowns:
@@ -374,6 +357,4 @@ def fit_rational_samples(points: np.ndarray, values: np.ndarray,
                        where=~bad)
     residual = np.max(np.where(use, np.abs(fitted - values), 0.0), axis=-1)
     residual[(bad & use).any(axis=-1)] = np.inf
-    if single:
-        return num[0], den[0], float(residual[0])
     return num, den, residual

@@ -4,10 +4,12 @@ A finite Blaschke product is stored as (angle, P) with P a monic
 polynomial whose roots all lie in the open unit disc.  The function on
 the circle is
 
-    Psi(z) = exp(-i*angle) * P(z) / D(z),      D = conj_reflect(P, deg P),
+    Psi(z) = exp(-i*angle) * P(z) / D(z),      D(z) = z**d * conj(P)(1/z),
 
-which has modulus one for |z| = 1.  Membership of P in the Schur class is
-decided by the Schur-Cohn coefficient recursion of ``algebra.is_schur``.
+with d = deg P, so D's coefficients are P's conjugated and reversed
+(algebra.reflect_coeffs); Psi has modulus one for |z| = 1.  Membership
+of P in the Schur class is decided by the Schur-Cohn coefficient
+recursion of ``algebra.is_schur``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import Poly, conj_reflect, is_schur
+from .algebra import Poly, is_schur, reflect_coeffs
 from .errors import InputError, NumericalError
 
 TWO_PI = 2.0 * math.pi
@@ -65,7 +67,7 @@ class BlaschkeProduct:
 
     @property
     def d(self) -> Poly:
-        return conj_reflect(self.p, self.p.degree)
+        return Poly(reflect_coeffs(self.p.coeffs, self.p.degree))
 
     @property
     def phase(self) -> complex:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bateman
-from .algebra import (TRIM_REL, Poly, fit_rational_samples, fold_coeffs, is_schur,
+from .algebra import (TRIM_REL, Poly, fit_rational_samples, grid_transform, is_schur,
                       next_pow2)
 from .blaschke import BlaschkeProduct, normalize_angle
 from .errors import (AmbiguousClusterWarning, DegreeMismatchError, FitError,
@@ -289,7 +289,7 @@ def fit_circle_ratio(num_vecs: np.ndarray, den_vecs: np.ndarray, d: int,
     need = 4 * d + 3
     size = next_pow2(max(8 * (d + 1), 32))
     for _ in range(2):
-        samples = size * np.fft.ifft(fold_coeffs(vecs, size), axis=-1)
+        samples = grid_transform(vecs, size)
         nv, dv = samples[:k], np.abs(samples[k:])
         peak = dv.max(axis=-1)
         _raise_rows(InputError, peak == 0.0, label,

@@ -210,11 +210,6 @@ def hankel_matvec(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return FastHankel(c).matvec(x)
 
 
-def _truncation_ops(u: Symbol) -> tuple:
-    """G and G~ of the zero-padded truncation, each from its own coefficients."""
-    return FastHankel(u.coeffs), FastHankel(u.coeffs[1:], u.n_modes)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Descending nonnegative eigenvalues with orthonormal eigenvectors."""
@@ -233,8 +228,10 @@ class HankelPair:
     shift as F a0 and F a1: exactly for the exact section on the rational
     core (r = m), and up to the finder's tolerance for the zero-padded
     truncation on a range frame (r at most N).  No square is stored.
-    plain and shifted are the checked eigensystems of the two squares,
-    each computed once, on first use.
+    ops holds a range pair's FastHankel G and G~, the ones its frame was
+    found with, and is empty on the core.  plain and shifted are the
+    checked eigensystems of the two squares, each computed once, on first
+    use.
     """
 
     symbol: Symbol
@@ -242,6 +239,7 @@ class HankelPair:
     a1: np.ndarray
     ku2_residual: float
     frame: np.ndarray
+    ops: tuple
 
     @property
     def path(self) -> str:
@@ -264,8 +262,7 @@ class HankelPair:
         rounding into G~).  Every H_u and K_u product goes through them.
         """
         if self.path == "range":
-            return tuple(lambda h, op=op: op.matvec(np.conj(h))
-                         for op in _truncation_ops(self.symbol))
+            return tuple(lambda h, op=op: op.matvec(np.conj(h)) for op in self.ops)
         frame, a0, a1 = self.frame, self.a0, self.a1
         return (lambda h: frame @ (a0 @ np.conj(h)),
                 lambda h: frame @ (a1 @ np.conj(h)))
@@ -400,10 +397,11 @@ def build_pair(u: Symbol) -> HankelPair:
     ||a0 a0*||, which is s_1**2: HankelPair.plain checks it before either
     eigensystem is returned.
     """
+    ops = ()
     if u.rational is not None:
         frame, a0, a1 = _rational_core(u)
     else:
-        ops = _truncation_ops(u)
+        ops = FastHankel(u.coeffs), FastHankel(u.coeffs[1:], u.n_modes)
         frame = _range_frame(ops)
         # G and G~ are complex symmetric: each strip Q* A = (A conj(Q))^T is
         # one FFT product, and a zero G~ (a constant symbol) gives zeros
@@ -412,7 +410,7 @@ def build_pair(u: Symbol) -> HankelPair:
     gap = a0 @ a0.conj().T
     gap -= np.outer(b, np.conj(b))
     gap -= a1 @ a1.conj().T
-    return HankelPair(u, a0, a1, float(np.linalg.norm(gap)), frame)
+    return HankelPair(u, a0, a1, float(np.linalg.norm(gap)), frame, ops)
 
 
 def _validate_eigs(apply_a, values, vectors, norm_a) -> tuple[float, float]:

@@ -192,7 +192,7 @@ def synthesize(data: SpectralData) -> SynthesisResult:
                 f"determinant has a root of modulus <= 1 + {ROOT_MARGIN:g}")
 
     grid_m = next_pow2(2 * n_deg + 2)
-    det_vals = grid_transform(det, grid_m)
+    det_vals = grid_transform(det.coeffs, grid_m)
     condition = float(np.max(np.abs(det_vals)) / np.min(np.abs(det_vals)))
 
     # Adjugate numerators over the plain minors M_kj (a zero minor as [0]):

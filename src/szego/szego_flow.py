@@ -62,7 +62,7 @@ def szego_rhs(u: Symbol, y: float | None = None) -> Symbol:
 def _cubic_rhs(c: np.ndarray) -> np.ndarray:
     n = c.size
     m = next_pow2(3 * n)  # |u|^2 u has frequencies down to -(n-1) and up to 2n-2
-    vals = m * np.fft.ifft(c, m)
+    vals = grid_transform(c, m)
     w = vals * vals * np.conj(vals)
     coeffs = np.fft.fft(w) / m
     return -1j * coeffs[:n]

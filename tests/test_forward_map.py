@@ -341,7 +341,7 @@ def test_walk_rejects_what_the_paper_rules_out(monkeypatch, coeffs, h_vals,
     # eigensystems, which the pair hands back as they are
     es_h, es_k = _eigensystem(h_vals, [0, 1, 2, 3]), _eigensystem(k_vals, k_order)
     monkeypatch.setattr(forward_map, "build_pair",
-                        lambda u: hankel.HankelPair(u, es_h, es_k, 0.0, np.eye(4)))
+                        lambda u: hankel.HankelPair(u, es_h, es_k, 0.0, np.eye(4), ()))
     monkeypatch.setattr(hankel.HankelPair, "plain", property(lambda pair: pair.a0))
     monkeypatch.setattr(hankel.HankelPair, "shifted", property(lambda pair: pair.a1))
     with pytest.raises(SpectralInconsistencyError, match=rule):

@@ -98,6 +98,18 @@ def test_shifted_action_drops_constant(hand_symbol):
     assert np.max(np.abs(out[1:])) < 1e-14
 
 
+def test_range_pair_builds_its_two_operators_once(monkeypatch):
+    # G and G~ find the range frame, give the strips and stay the pair's
+    # actions: one forward of a coefficient-only symbol builds each once
+    built = []
+    init = FastHankel.__init__
+    monkeypatch.setattr(FastHankel, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    data = forward_map.forward(Symbol(np.array([3.0, 2.0, 0.5, 0.1])))
+    assert data.n > 0
+    assert len(built) == 2
+
+
 def test_range_shifted_action_is_the_shifted_matrix_at_a_large_constant(rng):
     # G~ from its own coefficients: a left shift of G's FFT product would
     # carry rounding at the scale of c_0 = 1e6 into it
@@ -163,7 +175,7 @@ def test_forward_checks_the_shifted_square_identity(monkeypatch, rank_one_symbol
         a0, a1, b = pair.a0, 2.0 * pair.a1, pair.frame.conj().T @ u.coeffs
         residual = np.linalg.norm(a1 @ a1.conj().T - a0 @ a0.conj().T
                                   + np.outer(b, np.conj(b)))
-        return HankelPair(u, a0, a1, float(residual), pair.frame)
+        return HankelPair(u, a0, a1, float(residual), pair.frame, pair.ops)
 
     forward_map.forward(u)
     monkeypatch.setattr(forward_map, "build_pair", mismatched)
@@ -200,7 +212,7 @@ def test_range_lift_checks_the_pairs_against_the_full_square():
     pair = build_pair(u)
     assert (pair.path, pair.frame.shape[1]) == ("range", 3)
     pair.plain
-    thin = HankelPair(u, pair.a0[:2], pair.a1[:2], 0.0, pair.frame[:, :2])
+    thin = HankelPair(u, pair.a0[:2], pair.a1[:2], 0.0, pair.frame[:, :2], pair.ops)
     with pytest.raises(ConsistencyError, match="eigen residual"):
         thin.plain
 
