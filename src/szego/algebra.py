@@ -150,35 +150,39 @@ def is_schur(a) -> bool:
     return True
 
 
-def root_free_on_closed_disc(p: Poly, margin: float = 0.0) -> bool:
-    """True if p has no root of modulus <= 1 + margin.
+def root_free_on_closed_disc(c: np.ndarray, margin: float = 0.0) -> bool:
+    """True if the polynomial with coefficients c has no root of modulus
+    <= 1 + margin.  c is trimmed, as Poly.coeffs is: its last entry is
+    significant, and the zero polynomial is the empty array.
 
     Companion-matrix roots for degree <= 64.  Above that the Schur-Cohn
     recursion counts the roots inside the disc: p((1 + margin) z) is root
     free there exactly when its reversal z**d p((1 + margin)/z) is Schur.
     """
-    if p.degree < 1:
-        return bool(p)
-    if p.degree <= COMPANION_MAX_DEGREE:
-        return bool(np.min(np.abs(p.roots())) > 1.0 + margin)
-    c = p.coeffs * (1.0 + margin) ** np.arange(p.coeffs.size)
+    degree = c.size - 1
+    if degree < 1:
+        return bool(c.size)
+    if degree <= COMPANION_MAX_DEGREE:
+        return bool(np.min(np.abs(npoly.polyroots(c))) > 1.0 + margin)
+    c = c * (1.0 + margin) ** np.arange(c.size)
     if c[0] == 0.0:
         return False
     return is_schur(c[1:] / c[0])
 
 
-def series_divide(rhs: np.ndarray, den: Poly) -> np.ndarray:
+def series_divide(rhs: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Solve den * c = rhs modulo z**n for each column of the (n, k) rhs.
 
-    den(0) = 1, so this is a unit lower-triangular band Toeplitz system:
-    one LAPACK banded forward substitution (ztbtrs, no pivoting) runs the
-    coefficient recurrence on all columns.  The Fortran-ordered complex
-    rhs is overwritten.
+    den holds the denominator's coefficients with den[0] = 1, so this is
+    a unit lower-triangular band Toeplitz system: one LAPACK banded
+    forward substitution (ztbtrs, no pivoting) runs the coefficient
+    recurrence on all columns.  The Fortran-ordered complex rhs is
+    overwritten.
     """
     n = rhs.shape[0]
-    d = min(den.degree, n - 1)
+    d = min(den.size - 1, n - 1)
     if d >= 1:
-        band = np.repeat(den.coeffs[: d + 1, None], n, axis=1)
+        band = np.repeat(den[: d + 1, None], n, axis=1)
         rhs, _ = ztbtrs(band, rhs, uplo="L", diag="U", overwrite_b=True)
     return rhs
 
@@ -205,7 +209,7 @@ class RationalFunction:
             raise NotAnalyticError("denominator vanishes at z = 0")
         den = den * (1.0 / d0)
         num = num * (1.0 / d0)
-        if not root_free_on_closed_disc(den):
+        if not root_free_on_closed_disc(den.coeffs):
             raise NotAnalyticError("denominator has a root on the closed unit disc")
         if check_coprime and num and den.degree >= 1 \
                 and max(num.degree, den.degree) <= COMPANION_MAX_DEGREE:
@@ -233,7 +237,7 @@ class RationalFunction:
         c = np.zeros((n, 1), dtype=complex)
         m = min(n, self.num.coeffs.size)
         c[:m, 0] = self.num.coeffs[:m]
-        return series_divide(c, self.den)[:, 0]
+        return series_divide(c, self.den.coeffs)[:, 0]
 
     @staticmethod
     def from_coeff_lists(num, den, check_coprime: bool = True) -> "RationalFunction":

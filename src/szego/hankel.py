@@ -324,7 +324,7 @@ def _rational_core(u: Symbol) -> tuple:
     obs = np.zeros((n, m), dtype=complex, order="F")
     top = min(n, m)
     obs[:top] = scipy.linalg.toeplitz(rf.den.padded(m + 1)[:m], np.zeros(m))[:top]
-    frame, tri = np.linalg.qr(series_divide(obs, rf.den))
+    frame, tri = np.linalg.qr(series_divide(obs, rf.den.coeffs))
     c = rf.taylor(n + m)
     strip = tri @ scipy.linalg.hankel(c[:m], c[m - 1:])
     return frame, strip[:, :n], strip[:, 1:]

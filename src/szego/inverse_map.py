@@ -187,7 +187,7 @@ def synthesize(data: SpectralData) -> SynthesisResult:
             if min_root <= 1.0 + ROOT_MARGIN:
                 raise HypothesisViolationError(
                     f"determinant root at modulus {min_root:.12f}")
-        elif not root_free_on_closed_disc(det, ROOT_MARGIN):
+        elif not root_free_on_closed_disc(det.coeffs, ROOT_MARGIN):
             raise HypothesisViolationError(
                 f"determinant has a root of modulus <= 1 + {ROOT_MARGIN:g}")
 

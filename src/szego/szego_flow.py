@@ -4,7 +4,16 @@ The cubic flow i du/dt = P(|u|^2 u) (P = nonnegative-frequency projection)
 is integrated two ways: by classical RK4 on the Fourier coefficients with
 a dealiased nonlinearity, and exactly through spectral data, where each
 inner factor only picks up a rotating phase.  The commuting fields
-generated by the resolvent quantities J(y) get the same treatment.
+generated by the resolvent quantities J(y) = ((I + y H_u^2)^{-1} 1 | 1)
+get the same treatment.
+
+Every resolvent, for the fields and for the J(y) probes of the conserved
+quantities, goes through _resolvents: one Hermitian product G G* of the
+n x n Hankel section (BLAS zherk, upper triangle only) and a Cholesky
+factorization of I + y G G* per y.  That matrix is Hermitian with
+spectrum in [1, 1 + y s_1^2], so it is positive definite with condition
+number at most 1 + y s_1^2: Cholesky needs no pivoting and cannot break
+down.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import zherk
 
 from . import bateman
 from .algebra import RationalFunction, grid_transform, next_pow2
@@ -69,15 +80,25 @@ def _cubic_rhs(c: np.ndarray) -> np.ndarray:
 
 
 def _resolvents(c: np.ndarray, ys) -> list:
-    """w = (I + y H_u^2)^{-1} e_0 for each y, by dense LU on G G*, symmetrized."""
-    g = FastHankel(c).dense()
-    h2 = g @ g.conj().T
-    h2 += h2.conj().T
-    h2 *= 0.5
-    eye = np.eye(c.size)
-    e0 = np.zeros(c.size, dtype=complex)
+    """w = (I + y H_u^2)^{-1} e_0 for each y, by Cholesky.
+
+    H_u^2 = G G* with G the n x n Hankel section; one zherk forms its
+    upper triangle.  I + y G G* is Hermitian with spectrum in
+    [1, 1 + y s_1^2], so it is positive definite: the factorization needs
+    no pivoting and cannot break down.
+    """
+    n = c.size
+    # G is symmetric: G.T is G in Fortran order, which zherk takes uncopied
+    h2 = zherk(1.0, FastHankel(c).dense().T)
+    e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
-    return [np.linalg.solve(eye + y * h2, e0) for y in ys]
+    out = []
+    for y in ys:
+        a = y * h2
+        a.flat[::n + 1] += 1.0
+        factor = cho_factor(a, overwrite_a=True, check_finite=False)
+        out.append(cho_solve(factor, e0, check_finite=False))
+    return out
 
 
 def _hierarchy_rhs(c: np.ndarray, y: float) -> np.ndarray:
@@ -144,19 +165,23 @@ def direct_evolve(u0: Symbol, t_final: float, dt: float,
                   y: float | None = None) -> Trajectory:
     """Integrate the cubic flow (or the hierarchy field for given y) by RK4.
 
-    Refuses steps with dt * sum |c|^2 > 0.1.  Conserved quantities are
+    The step taken is dt_eff = t_final / round(t_final / dt) (at least one
+    step when t_final > 0); refuses it when dt_eff * sum |c|^2 > 0.1, or
+    dt * sum |c|^2 > 0.1 when no step is taken.  Conserved quantities are
     recorded every max(1, steps // 100) steps and at the end; if any drifts
     by more than 1e-5 (relative to max(initial value, 1)) the step size was
     too coarse and a StepSizeError reports the offenders.
     """
     if t_final < 0 or dt <= 0:
         raise InputError("need t_final >= 0 and dt > 0")
-    l2 = float(np.sum(np.abs(u0.coeffs) ** 2))
-    if dt * l2 > DT_NORM_LIMIT:
-        raise StepSizeError(
-            f"dt * |u|^2 = {dt * l2:.3e} exceeds {DT_NORM_LIMIT}; shrink dt")
     steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     dt_eff = t_final / steps if steps else 0.0
+    l2 = float(np.sum(np.abs(u0.coeffs) ** 2))
+    step, name = (dt_eff, "dt_eff") if steps else (dt, "dt")
+    if step * l2 > DT_NORM_LIMIT:
+        raise StepSizeError(
+            f"{name} * |u|^2 = {step * l2:.3e} exceeds {DT_NORM_LIMIT}"
+            f" ({name} = {step:.3e}); shrink dt")
     record_every = max(1, steps // 100)
 
     rhs, _, label = _flow(y)

@@ -8,7 +8,7 @@ from szego import algebra
 from szego.algebra import (Poly, RationalFunction, fit_rational_samples,
                            grid_transform, next_pow2, polymatrix_det_minors,
                            reflect_coeffs, root_free_on_closed_disc,
-                           trim_coeffs)
+                           series_divide, trim_coeffs)
 from szego.errors import InputError, NotAnalyticError
 
 
@@ -95,12 +95,22 @@ def test_poly_multiplication_commutes(a, b):
 
 
 def test_root_free_on_closed_disc():
-    assert root_free_on_closed_disc(Poly([1.0, -0.5]))          # root at 2
-    assert not root_free_on_closed_disc(Poly([1.0, -2.0]))      # root at 0.5
-    assert not root_free_on_closed_disc(Poly([1.0, -1.0]), margin=1e-6)
+    assert root_free_on_closed_disc(np.array([1.0, -0.5]))      # root at 2
+    assert not root_free_on_closed_disc(np.array([1.0, -2.0]))  # root at 0.5
+    assert not root_free_on_closed_disc(np.array([1.0, -1.0]), margin=1e-6)
+    assert root_free_on_closed_disc(np.array([2.0]))
+    assert not root_free_on_closed_disc(np.zeros(0))
     # above degree 64 the roots inside the disc are counted
-    assert root_free_on_closed_disc(Poly(HIGH_DEGREE_ROOT_FREE))
-    assert not root_free_on_closed_disc(Poly(HIGH_DEGREE_ROOT_AT_HALF))
+    assert root_free_on_closed_disc(HIGH_DEGREE_ROOT_FREE)
+    assert not root_free_on_closed_disc(HIGH_DEGREE_ROOT_AT_HALF)
+
+
+def test_series_divide_runs_the_recurrence_on_every_column():
+    rhs = np.zeros((6, 2), dtype=complex, order="F")
+    rhs[0] = [1.0, 2.0j]
+    out = series_divide(rhs, np.array([1.0, -0.5], dtype=complex))
+    geometric = 0.5 ** np.arange(6)
+    assert np.allclose(out, np.outer(geometric, [1.0, 2.0j]), atol=1e-15)
 
 
 def test_rational_taylor_geometric():

@@ -4,11 +4,20 @@ import pytest
 from szego.algebra import RationalFunction
 from szego.errors import InputError, StepSizeError
 from szego.forward_map import forward
-from szego.hankel import Symbol, resize_symbol
+from szego.hankel import FastHankel, Symbol, resize_symbol
 from szego.inverse_map import synthesize
-from szego.szego_flow import (compare_flows, conserved_quantities,
-                              direct_evolve, exact_evolve, szego_rhs,
-                              traveling_wave)
+from szego.szego_flow import (PROBE_YS, _resolvents, compare_flows,
+                              conserved_quantities, direct_evolve,
+                              exact_evolve, szego_rhs, traveling_wave)
+
+_RNG0 = np.random.default_rng(0)
+RESOLVENT_CASES = {
+    "hand": np.array([3.0, 2.0, 0, 0, 0, 0, 0, 0], dtype=complex),
+    "rank_two": resize_symbol(Symbol.from_rational(
+        RationalFunction.from_coeff_lists([0.0, 0.75], [1.0, 0.0, -0.5])),
+        128).coeffs,
+    "gaussian": _RNG0.standard_normal(64) + 1j * _RNG0.standard_normal(64),
+}
 
 
 def test_cubic_rhs_hand_values(hand_symbol):
@@ -46,6 +55,39 @@ def test_step_size_guard(hand_symbol):
     u = resize_symbol(hand_symbol, 8)   # squared norm 13
     with pytest.raises(StepSizeError):
         direct_evolve(u, 0.1, 0.01)
+    # dt = 0.09 passes, but the one step that reaches t = 0.13 is 0.13 long
+    with pytest.raises(StepSizeError, match="dt_eff"):
+        direct_evolve(resize_symbol(Symbol(np.array([1.0])), 8), 0.13, 0.09)
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVENT_CASES))
+def test_resolvents_match_a_dense_solve(name):
+    c = RESOLVENT_CASES[name]
+    g = FastHankel(c).dense()
+    e0 = np.eye(c.size)[0]
+    ys = PROBE_YS + (1.0,)
+    for y, w in zip(ys, _resolvents(c, ys)):
+        want = np.linalg.solve(np.eye(c.size) + y * (g @ g.conj().T), e0)
+        assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_resolvents_of_a_constant_symbol():
+    alpha = 0.6 - 0.8j
+    c = np.zeros(8, dtype=complex)
+    c[0] = alpha
+    for y, w in zip(PROBE_YS, _resolvents(c, PROBE_YS)):
+        want = np.zeros(8, dtype=complex)
+        want[0] = 1.0 / (1.0 + y * abs(alpha) ** 2)
+        assert np.max(np.abs(w - want)) < 1e-14
+
+
+def test_flow_resolvents_take_no_general_solve(monkeypatch, hand_symbol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    conserved_quantities(resize_symbol(hand_symbol, 8))
+    direct_evolve(resize_symbol(Symbol(np.array([0.5])), 8), 0.01, 1e-3, y=1.0)
 
 
 def test_conserved_record_labels(hand_symbol):
