@@ -4,9 +4,9 @@ Coefficient convention is degree-0 first throughout.  Poly and
 RationalFunction are the public types; the circle helpers below them
 take coefficient arrays, with rows stacked along the last axis.  The
 workhorses are grid_transform, the one map from coefficients to samples
-at roots of unity, polynomial-matrix determinants by evaluation and
-interpolation, and a least-squares rational fit used to recover inner
-functions from pointwise ratios.
+at roots of unity, the determinant and first minors of a polynomial
+matrix sampled on such a grid, and a least-squares rational fit used to
+recover inner functions from pointwise ratios.
 """
 
 from __future__ import annotations
@@ -274,17 +274,19 @@ def grid_transform(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def polymatrix_det_minors(entries, degree_bound: int):
-    """Determinant and all first minors of a matrix of polynomials.
+    """Determinant and all first minors of a matrix of polynomials, sampled
+    at the M = next_pow2(2*degree_bound + 2) roots of unity.
 
     entries[k][j] is a coefficient array.  One batched grid_transform
-    samples all q**2 entries at M >= 2*degree_bound + 1 roots of unity
-    (a power of two).  The determinant and the q**2 minors, each a stack
-    of index-deleted submatrices, are scalar determinants at every grid
-    point, taken by batched np.linalg.det calls (one while the stack of
-    submatrices stays under MINOR_BLOCK_BYTES, more otherwise); one FFT
-    interpolates them all back to coefficients.  minors[k][j] is the
-    determinant of the matrix with row k and column j deleted (the plain
-    minor, no cofactor sign).
+    samples all q**2 entries.  The determinant and the q**2 minors, each a
+    stack of index-deleted submatrices, are scalar determinants at every
+    grid point, taken by batched np.linalg.det calls (one while the stack
+    of submatrices stays under MINOR_BLOCK_BYTES, more otherwise).
+    Returns the (M,) determinant samples and the (M, q, q) minor samples:
+    minors[:, k, j] is the determinant of the matrix with row k and
+    column j deleted (the plain minor, no cofactor sign); for q = 1 it is
+    one.  The caller interpolates, so it can first multiply the samples
+    by other polynomials of total degree below M.
     """
     q = len(entries)
     m = next_pow2(2 * degree_bound + 2)
@@ -295,8 +297,7 @@ def polymatrix_det_minors(entries, degree_bound: int):
         for j, entry in enumerate(row):
             coeffs[k, j] = fold_coeffs(entry, m)
     values = np.moveaxis(grid_transform(coeffs, m), -1, 0)
-    dets = np.empty((m, 1 + q * q), dtype=complex)
-    dets[:, 0] = np.linalg.det(values)
+    minors = np.ones((m, q, q), dtype=complex)
     if q > 1:
         # keep[k] lists the indices other than k
         keep = np.array([[i for i in range(q) if i != k] for k in range(q)])
@@ -304,13 +305,8 @@ def polymatrix_det_minors(entries, degree_bound: int):
         for start in range(0, q, rows):
             ks = keep[start: start + rows]
             sub = values[:, ks[:, None, :, None], keep[None, :, None, :]]
-            dets[:, 1 + start * q: 1 + (start + ks.shape[0]) * q] = \
-                np.linalg.det(sub).reshape(m, -1)
-    polys = (np.fft.fft(dets, axis=0)[: degree_bound + 1] / m).T
-    det = Poly(polys[0])
-    if q == 1:
-        return det, [[Poly.one()]]
-    return det, [[Poly(polys[1 + k * q + j]) for j in range(q)] for k in range(q)]
+            minors[:, start: start + ks.shape[0]] = np.linalg.det(sub)
+    return np.linalg.det(values), minors
 
 
 def fit_rational_samples(points: np.ndarray, values: np.ndarray,

@@ -25,7 +25,7 @@ from .forward_map import SpectralData, forward
 from .hankel import FastHankel, Symbol, resize_symbol
 from .inverse_map import roundtrip, synthesize
 from .szego_flow import (CONSERVED_LABELS, compare_flows, conserved_quantities,
-                         direct_evolve, exact_evolve, traveling_wave)
+                         direct_evolve, exact_trajectory, traveling_wave)
 
 FILE_VERSION = 1
 
@@ -247,13 +247,10 @@ def cmd_evolve(args) -> int:
     elif args.mode == "exact":
         if args.samples < 0:
             raise InputError(f"--samples must be nonnegative, got {args.samples}")
-        data = forward(u)
         times = np.linspace(0.0, args.t_final, args.samples + 1)
-        rows = []
-        for t in times:
-            moved = synthesize(exact_evolve(data, float(t), y))
-            ut = Symbol(moved.rational.taylor(n))
-            rows.append(row(float(t), ut.coeffs, conserved_quantities(ut)))
+        states = exact_trajectory(forward(u), times, n, y)
+        rows = [row(float(t), c, conserved_quantities(Symbol(c)))
+                for t, c in zip(times, states)]
         print(f"sampled exact evolution at {len(times)} times")
     else:
         cmp = compare_flows(u, args.t_final, args.dt, y=y)

@@ -12,11 +12,14 @@ N = q + sum of all Blaschke degrees and no root on the closed unit disc.
 The symbol and its eigenspace components all come out as polynomial
 combinations of the first minors divided by Q.
 
-All of this algebra runs on coefficient arrays (degree 0 first): each
-cleared entry is a product of factors' arrays by np.convolve, Q and the
-q**2 minors come from one batched sampling, determinant and
-interpolation pass (polymatrix_det_minors), and the adjugate sums are
-array sums.  Only the outputs are wrapped in Poly.
+The cleared entries are coefficient arrays (degree 0 first), products
+of the factors' arrays by np.convolve.  Everything after them runs on
+one grid of M = next_pow2(2N + 2) roots of unity: polymatrix_det_minors
+gives Q and the q**2 minors there, the Blaschke numerators are sampled
+there, the adjugate sums and the products that form the components are
+pointwise, and one FFT brings Q and every component numerator back to
+coefficients.  Each of them has degree at most N < M, so that
+interpolation is exact.  Only the outputs are wrapped in Poly.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from numpy.polynomial import polynomial as npoly
 
 from . import bateman
 from .algebra import (COMPANION_MAX_DEGREE, Poly, RationalFunction,
-                      grid_transform, next_pow2, polymatrix_det_minors,
-                      reflect_coeffs, root_free_on_closed_disc)
+                      grid_transform, polymatrix_det_minors, reflect_coeffs,
+                      root_free_on_closed_disc)
 from .blaschke import BlaschkeProduct
 from .errors import HypothesisViolationError, InputError
 from .forward_map import SpectralData, forward
@@ -73,8 +76,9 @@ def build_cmatrix(data: SpectralData) -> CMatrix:
             / (rho_j**2 - sigma_k**2),
     a polynomial of degree at most 1 + d_{2k} + d_{2j-1}, formed from the
     coefficient arrays of its factors by np.convolve.  At z = 0 every
-    entry equals rho_j / (rho_j**2 - sigma_k**2); the diagonal ones are
-    positive.
+    entry equals rho_j / (rho_j**2 - sigma_k**2), since D(0) is the
+    conjugate of P's unit lead; the diagonal ones are positive, since
+    rho_j > sigma_j.
     """
     q = data.q
     psi_odd = tuple(data.psi[0::2])
@@ -106,31 +110,10 @@ def build_cmatrix(data: SpectralData) -> CMatrix:
                 # times z: the sigma term starts at degree 1
                 entry[1: shifted.size + 1] -= \
                     (sigma[k] / denom * (phase_even[k] * phase_odd[j])) * shifted
-            bound = 1 + psi_even[k].degree + psi_odd[j].degree
-            if entry.size - 1 > bound:
-                raise HypothesisViolationError(
-                    f"cleared entry ({k},{j}) has degree {entry.size - 1} > {bound}")
-            at0 = complex(entry[0])
-            want = rho[j] / denom
-            if abs(at0 - want) > 1e-10 * max(abs(want), 1.0):
-                raise HypothesisViolationError(
-                    f"entry ({k},{j}) at 0 is {at0}, expected {want}")
-            if k == j and at0.real <= 0.0:
-                raise HypothesisViolationError(
-                    f"diagonal entry ({k},{k}) not positive at 0")
             row.append(entry)
         cleared.append(row)
     return CMatrix(q, rho, sigma, psi_odd, tuple(psi_even), d_odd, d_even,
                    cleared, data.total_degree)
-
-
-def _sum(terms) -> np.ndarray:
-    """Sum of coefficient arrays of any lengths."""
-    terms = list(terms)
-    out = np.zeros(max(t.size for t in terms), dtype=complex)
-    for t in terms:
-        out[: t.size] += t
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +138,16 @@ class SynthesisResult:
 def synthesize(data: SpectralData) -> SynthesisResult:
     """Invert the spectral map by the cleared-determinant construction.
 
+    With M_kj the plain minors of the cleared matrix, the adjugate
+    numerators are
+        R_{2j-1} = sum_k (-1)**(k+j) D_{2k} M_kj,
+        R_{2k}   = sum_j (-1)**(k+j) phase_j P_{2j-1} M_kj,
+    and the components over Q are h_j = D_{2j-1} R_{2j-1},
+    u_j = phase_j P_{2j-1} R_{2j-1} and u'_k = D_{2k} R_{2k}.  All of
+    them are formed from samples on the grid of polymatrix_det_minors and
+    come back to coefficients, N + 1 of each, with Q in one FFT; the
+    circle condition is read off Q's samples.
+
     Raises HypothesisViolationError when the determinant degree falls
     short of q + sum d_r or a root of the determinant comes within 1e-10
     of the closed unit disc.  For valid interlaced data with Schur factors
@@ -164,14 +157,28 @@ def synthesize(data: SpectralData) -> SynthesisResult:
     """
     cm = build_cmatrix(data)
     q, n_deg = cm.q, cm.total_degree
-    det, minors = polymatrix_det_minors(cm.cleared, n_deg)
+    det_vals, minors = polymatrix_det_minors(cm.cleared, n_deg)
+    m = det_vals.size
+    # rows D_{2j-1}, D_{2k} and phase_j P_{2j-1}, sampled on the same grid
+    rows = [*cm.d_odd, *cm.d_even, *(b.phase * b.p.coeffs for b in cm.psi_odd)]
+    stack = np.zeros((3 * q, max(r.size for r in rows)), dtype=complex)
+    for i, r in enumerate(rows):
+        stack[i, : r.size] = r
+    d_odd, d_even, p_odd = grid_transform(stack, m).reshape(3, q, m)
+    sign = (-1.0) ** np.add.outer(np.arange(q), np.arange(q))
+    cof = np.moveaxis(minors, 0, -1) * sign[:, :, None]      # (k, j, M)
+    r_odd = (d_even[:, None] * cof).sum(axis=0)             # R_{2j-1}
+    r_even = (p_odd[None] * cof).sum(axis=1)                # R_{2k}
+    samples = np.concatenate([det_vals[None], d_odd * r_odd, p_odd * r_odd,
+                              d_even * r_even])
+    coeffs = np.fft.fft(samples)[:, : n_deg + 1] / m
+    h_c, u_terms, u_prime_terms = coeffs[1:].reshape(3, q, n_deg + 1)
+
+    det = Poly(coeffs[0])
     det0 = complex(det(0.0))
     top = float(np.max(np.abs(det.coeffs))) if det else 0.0
     if top == 0.0 or abs(det0) < 1e-12 * top:
         raise HypothesisViolationError("determinant vanishes at z = 0")
-    if det.degree > n_deg:
-        raise HypothesisViolationError(
-            f"determinant degree {det.degree} exceeds the bound {n_deg}")
     if data.n % 2 == 0 and det.degree != n_deg:
         # For even n every entry's top coefficient is carried by the
         # sigma term and the leading matrix is a nonsingular Cauchy-type
@@ -190,34 +197,17 @@ def synthesize(data: SpectralData) -> SynthesisResult:
         elif not root_free_on_closed_disc(det.coeffs, ROOT_MARGIN):
             raise HypothesisViolationError(
                 f"determinant has a root of modulus <= 1 + {ROOT_MARGIN:g}")
-
-    grid_m = next_pow2(2 * n_deg + 2)
-    det_vals = grid_transform(det.coeffs, grid_m)
     condition = float(np.max(np.abs(det_vals)) / np.min(np.abs(det_vals)))
 
-    # Adjugate numerators over the plain minors M_kj (a zero minor as [0]):
-    #   R_{2j-1} = sum_k (-1)**(k+j) D_{2k} M_kj,
-    #   R_{2k}   = sum_j (-1)**(k+j) phase_j P_{2j-1} M_kj.
-    minor = [[mk.coeffs if mk else np.zeros(1, dtype=complex) for mk in row]
-             for row in minors]
-    p_odd = [b.p.coeffs for b in cm.psi_odd]
-    phases = [b.phase for b in cm.psi_odd]
-    r_odd = [_sum((-1.0) ** (k + j) * np.convolve(cm.d_even[k], minor[k][j])
-                  for k in range(q)) for j in range(q)]
-    r_even = [_sum((-1.0) ** (k + j) * (phases[j] * np.convolve(p_odd[j], minor[k][j]))
-                   for j in range(q)) for k in range(q)]
-
     # u = sum_j u_j = sum_k u'_k: both sums give its numerator over det
-    u_terms = [phases[j] * np.convolve(p_odd[j], r_odd[j]) for j in range(q)]
-    u_prime_terms = [np.convolve(cm.d_even[k], r_even[k]) for k in range(q)]
-    u_num = _sum(u_terms)
+    u_num = u_terms.sum(axis=0)
     scale = max(float(np.max(np.abs(u_num))), 1e-300)
-    gap = float(np.max(np.abs(_sum([u_num, -_sum(u_prime_terms)])))) / scale
+    gap = float(np.max(np.abs(u_num - u_prime_terms.sum(axis=0)))) / scale
 
     inv0 = 1.0 / det0
     q_norm = det * inv0
     u_rf = RationalFunction(Poly(u_num * inv0), q_norm, check_coprime=False)
-    h = tuple(Poly(np.convolve(cm.d_odd[j], r_odd[j]) * inv0) for j in range(q))
+    h = tuple(Poly(t * inv0) for t in h_c)
     u_parts = tuple(Poly(t * inv0) for t in u_terms)
     u_prime_parts = tuple(Poly(t * inv0) for t in u_prime_terms)
     u_sym = Symbol.from_rational(u_rf)

@@ -231,6 +231,17 @@ def exact_evolve(data: SpectralData, t: float,
     return data.with_angles(data.angles() + signs * speed(data) * t)
 
 
+def exact_trajectory(data: SpectralData, times, n_modes: int,
+                     y: float | None = None) -> np.ndarray:
+    """The (T, n_modes) Taylor coefficients of the exact flow at each time.
+
+    data's phases are rotated to each time (exact_evolve) and the symbol
+    is synthesized from them and expanded.
+    """
+    return np.array([synthesize(exact_evolve(data, float(t), y)).rational.taylor(n_modes)
+                     for t in times])
+
+
 @dataclass(frozen=True, eq=False)
 class FlowComparison:
     """Direct-vs-exact comparison of the same flow."""
@@ -251,12 +262,8 @@ def compare_flows(u0: Symbol, t_final: float, dt: float,
     """
     data0 = forward(u0)
     traj = direct_evolve(u0, t_final, dt, y=y)
-    norm = max(u0.l2_norm, 1e-300)
-    gaps = np.zeros(traj.times.size)
-    n = u0.n_modes
-    for i, t in enumerate(traj.times):
-        exact_c = synthesize(exact_evolve(data0, float(t), y)).rational.taylor(n)
-        gaps[i] = float(np.linalg.norm(exact_c - traj.states[i])) / norm
+    exact = exact_trajectory(data0, traj.times, u0.n_modes, y)
+    gaps = np.linalg.norm(exact - traj.states, axis=1) / max(u0.l2_norm, 1e-300)
     return FlowComparison(traj, gaps, float(gaps.max()), traj.drift)
 
 

@@ -3,7 +3,8 @@
 Each criterion pins its own tolerances; nothing here is shared state, so a
 failure localizes to exactly one numbered property.  Criteria 1, 4 and 9
 run the `szego verify` suite that defines their property on the same
-seeded draws, and pin the suite's thresholds.
+seeded draws, and pin the suite's thresholds; criteria 6 and 8 also run
+the flow and aak suites, so every suite of `szego verify` runs here.
 """
 
 import time
@@ -122,6 +123,7 @@ def test_criterion_06_flow_agreement():
     ok = worst_gap < 1e-6 and worst_drift < 1e-8 and elapsed < 60.0
     report(6, ok, f"5 symbols at 128 modes: gap {worst_gap:.2e}, "
                   f"drift {worst_drift:.2e}, {elapsed:.1f}s")
+    report_suite(6, "flow", 6, 5, True)
 
 
 def test_criterion_07_hierarchy_speeds():
@@ -148,6 +150,7 @@ def test_criterion_08_best_rank_one_distance():
     cert = result.certificate
     ok = abs(cert.op_norm - 1.0) < 1e-7 and cert.rank == 1
     report(8, ok, f"distance {cert.op_norm:.12g}, rank {cert.rank}")
+    report_suite(8, "aak", 8, 8, True)
 
 
 def test_criterion_09_real_symbol_diagnostics():

@@ -168,24 +168,26 @@ def test_grid_transform_interpolate_roundtrip(rng):
 
 def test_polymatrix_det_matches_pointwise(rng, monkeypatch):
     # every (k, j) minor pins the index layout of the batched determinants
-    for q in (3, 4):
+    for q in (1, 3, 4):
         coeffs = rng.standard_normal((q, q, 3)) + 1j * rng.standard_normal((q, q, 3))
         entries = [list(row) for row in coeffs]
         det, minors = polymatrix_det_minors(entries, degree_bound=q * 2)
-        for z in np.exp(2j * np.pi * rng.random(5)):
-            m = npoly.polyval(z, coeffs.transpose(2, 0, 1))
-            assert abs(det(z) - np.linalg.det(m)) < 1e-9 * max(1.0, abs(np.linalg.det(m)))
+        m = next_pow2(4 * q + 2)
+        assert det.shape == (m,) and minors.shape == (m, q, q)
+        for i, z in enumerate(np.exp(2j * np.pi * np.arange(m) / m)):
+            mat = npoly.polyval(z, coeffs.transpose(2, 0, 1))
+            want = np.linalg.det(mat)
+            assert abs(det[i] - want) < 1e-9 * max(1.0, abs(want))
             for k in range(q):
                 for j in range(q):
-                    sub = np.delete(np.delete(m, k, axis=0), j, axis=1)
-                    assert abs(minors[k][j](z) - np.linalg.det(sub)) < 1e-9
-        # one row of minors per batched det gives the same polynomials
+                    sub = np.delete(np.delete(mat, k, axis=0), j, axis=1)
+                    assert abs(minors[i, k, j] - np.linalg.det(sub)) < 1e-9
+        # one row of minors per batched det gives the same samples
         monkeypatch.setattr(algebra, "MINOR_BLOCK_BYTES", 1)
         det_rows, minors_rows = polymatrix_det_minors(entries, degree_bound=q * 2)
         monkeypatch.undo()
-        assert np.array_equal(det.coeffs, det_rows.coeffs)
-        assert all(np.array_equal(a.coeffs, b.coeffs)
-                   for row, row_b in zip(minors, minors_rows) for a, b in zip(row, row_b))
+        assert np.array_equal(det, det_rows)
+        assert np.array_equal(minors, minors_rows)
 
 
 def test_polymatrix_det_rejects_ragged_input():

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import szego
-from szego.cli import main
+from szego.cli import load_symbol, main
+from szego.forward_map import forward
+from szego.hankel import Symbol
+from szego.szego_flow import (CONSERVED_LABELS, conserved_quantities,
+                              exact_trajectory)
 
 
 def write_symbol(path, coeffs):
@@ -134,6 +138,33 @@ def test_evolve_writes_csv_with_conserved_columns(tmp_path, capsys):
     assert float(rows[1][0]) == 0.0
     assert abs(float(rows[-1][0]) - 0.1) < 1e-12
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, times", [
+    ("direct", np.linspace(0.0, 0.05, 6)),      # every step of dt = 0.01
+    ("exact", np.linspace(0.0, 0.05, 5)),       # --samples 4
+])
+def test_evolve_direct_and_exact_rows(tmp_path, capsys, mode, times):
+    u_path = write_symbol(tmp_path / "u.json", [1.0, 0.5])
+    csv_path = tmp_path / "traj.csv"
+    assert main(["evolve", u_path, "--t-final", "0.05", "--dt", "1e-2",
+                 "--mode", mode, "--samples", "4", "--trunc", "16",
+                 "--out", str(csv_path)]) == 0
+    capsys.readouterr()
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    table = np.array(rows, dtype=float)
+    assert table.shape == (times.size, 1 + 2 * 16 + len(CONSERVED_LABELS))
+    assert header[33:] == list(CONSERVED_LABELS)
+    assert np.allclose(table[:, 0], times, rtol=0.0, atol=1e-15)
+    states = table[:, 1:33:2] + 1j * table[:, 2:33:2]
+    conserved = table[:, 33:]
+    assert np.allclose(conserved, conserved[0], rtol=1e-10, atol=0.0)
+    for c, record in zip(states, conserved):
+        assert np.array_equal(conserved_quantities(Symbol(c)).as_vector(), record)
+    if mode == "exact":
+        u = load_symbol(u_path, 16)
+        assert np.array_equal(states, exact_trajectory(forward(u), times, 16))
 
 
 def test_travelwave_command(capsys):
